@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .exact import GR_MINUS_I, GaussianRational, Poly
@@ -145,36 +144,25 @@ def evaluate_case(
     return CaseReport(case, coeff, trace_integral, contribution)
 
 
-@lru_cache(maxsize=None)
-def _boundary_phi_cached(
-    n: int, left_op: str, right_op: str, dual: bool
-) -> tuple[Poly, tuple[CaseReport, ...]]:
-    left = inverse_symbols(n, left_op, dual)
-    right = inverse_symbols(n, right_op, dual)
-    p1 = _ORDER_OF[left_op]
-    p2 = _ORDER_OF[right_op]
-    reports = tuple(
-        evaluate_case(case, left, right, n)
-        for case in enumerate_cases(n, p1, p2)
-    )
-    total = Poly.zero()
-    for report in reports:
-        total = total + report.contribution
-    return total, reports
-
-
 def boundary_phi(
     n: int, left_op: str, right_op: str, dual: bool = True
 ) -> tuple[Poly, list[CaseReport]]:
     """Boundary term of the projected product of two inverse operators.
 
     Returns the exact total and the per-case breakdown.  Only the
-    operator pairs with worked reference values are accepted.  Results
-    are memoized per selection; reports are immutable by convention.
+    operator pairs with worked reference values are accepted.
     """
     if (n, left_op, right_op) not in SUPPORTED_PAIRS:
         raise ValueError(
             f"unsupported boundary pair: dimension {n}, {left_op} against {right_op}"
         )
-    total, reports = _boundary_phi_cached(n, left_op, right_op, dual)
-    return total, list(reports)
+    left = inverse_symbols(n, left_op, dual)
+    right = inverse_symbols(n, right_op, dual)
+    reports = [
+        evaluate_case(case, left, right, n)
+        for case in enumerate_cases(n, _ORDER_OF[left_op], _ORDER_OF[right_op])
+    ]
+    total = Poly.zero()
+    for report in reports:
+        total = total + report.contribution
+    return total, reports

@@ -35,6 +35,7 @@ from .baselines import (
     interior_reference,
 )
 from .boundary import (
+    _ORDER_OF,
     SUPPORTED_PAIRS,
     CaseTuple,
     boundary_phi,
@@ -601,9 +602,7 @@ def _run_boundary(spec: JobSpec) -> tuple[int, str]:
 
 
 def _run_case(spec: JobSpec) -> tuple[int, str]:
-    order_left = {"Dv": 1, "DvStar": 1, "D3": 3}[spec.left]
-    order_right = {"Dv": 1, "DvStar": 1, "D3": 3}[spec.right]
-    allowed = enumerate_cases(spec.dim, order_left, order_right)
+    allowed = enumerate_cases(spec.dim, _ORDER_OF[spec.left], _ORDER_OF[spec.right])
     case = CaseTuple(*spec.case_tuple)
     if case not in allowed:
         raise UsageError(
@@ -730,8 +729,6 @@ def _run_identities(spec: JobSpec) -> tuple[int, str]:
 
 
 def _run_crosscheck(spec: JobSpec) -> tuple[int, str]:
-    left = inverse_symbols(spec.dim, spec.left, dual=spec.dual)
-    right = inverse_symbols(spec.dim, spec.right, dual=spec.dual)
     _, reports = boundary_phi(spec.dim, spec.left, spec.right, dual=spec.dual)
     live = [r for r in reports if not r.structurally_zero]
 
@@ -879,3 +876,7 @@ def main(argv=None) -> int:
 
 def script() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    script()

@@ -1,13 +1,21 @@
 """Clifford and wedge operators on the exterior algebra fiber.
 
 The fiber over a point of an n-manifold is the full exterior algebra of
-an n-dimensional inner-product space, dimension 2**n.  Basis elements
-are indexed by subsets of {1..n} encoded as bitmasks: bit (j-1) set
-means the j-th frame covector is present in the wedge word.
+an n-dimensional inner-product space, dimension 2**n.  Its endomorphisms
+are generated by two anticommuting Clifford actions, the difference
+c_j and the sum cbar_j of exterior and interior multiplication by the
+j-th frame covector:
 
-Two anticommuting Clifford actions live here, the difference and the sum
-of exterior and interior multiplication.  All matrices are sparse maps
-(row, col) -> Poly, which keeps generator words at one entry per row.
+    c_i c_j + c_j c_i = -2 delta_ij,    cbar_i cbar_j + cbar_j cbar_i = 2 delta_ij,
+    c_i cbar_j + cbar_j c_i = 0.
+
+The 4**n words c_S cbar_T, each product taken in ascending index order,
+form a basis of the endomorphisms, so an operator is stored as a sparse
+map from words to Poly.  A word is the bitmask pair (S, T): bit (j-1) of
+S set means c_j is present, of T that cbar_j is.  This is the bitmap
+representation of Dorst, Fontijne and Mann, Geometric Algebra for
+Computer Science (2007), ch. 19: the product of two words is a sign
+times one word, and the empty word is the only one with a trace, 2**n.
 """
 
 from __future__ import annotations
@@ -26,19 +34,45 @@ from .exact import (
     sphere_normal_form,
 )
 
+EMPTY_WORD = (0, 0)
+
+
+def _swaps(a: int, b: int) -> int:
+    """Transpositions that sort the ascending product of a times that of b."""
+    a >>= 1
+    count = 0
+    while a:
+        count += (a & b).bit_count()
+        a >>= 1
+    return count
+
+
+def word_product(u: tuple, v: tuple) -> tuple:
+    """(c_S cbar_T)(c_U cbar_V) = sign * c_(S^U) cbar_(T^V).
+
+    The parity counts moving cbar_T past c_U, sorting the c and the cbar
+    products, and the squares c_i**2 = -1 of the indices S and U share;
+    the squares cbar_i**2 = +1 add nothing.
+    """
+    s, t = u
+    x, y = v
+    parity = (
+        t.bit_count() * x.bit_count()
+        + _swaps(s, x)
+        + (s & x).bit_count()
+        + _swaps(t, y)
+    )
+    return -1 if parity & 1 else 1, (s ^ x, t ^ y)
+
 
 class CliffordOp:
-    """Sparse 2**n x 2**n matrix over Poly."""
+    """Sparse linear combination of Clifford words over Poly."""
 
-    __slots__ = ("n", "ent")
+    __slots__ = ("n", "words")
 
-    def __init__(self, n: int, ent: dict | None = None):
+    def __init__(self, n: int, words: dict | None = None):
         self.n = n
-        self.ent = ent or {}
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
+        self.words = words or {}
 
     # -- constructors ------------------------------------------------
 
@@ -51,54 +85,53 @@ class CliffordOp:
         c = Poly.const(coeff)
         if c.is_zero:
             return CliffordOp(n)
-        return CliffordOp(n, {(s, s): c for s in range(1 << n)})
+        return CliffordOp(n, {EMPTY_WORD: c})
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "CliffordOp") -> "CliffordOp":
         self._check(other)
-        out = dict(self.ent)
-        for pos, p in other.ent.items():
-            acc = out.get(pos)
+        out = dict(self.words)
+        for w, p in other.words.items():
+            acc = out.get(w)
             s = p if acc is None else acc + p
             if s.is_zero:
-                out.pop(pos, None)
+                out.pop(w, None)
             else:
-                out[pos] = s
+                out[w] = s
         return CliffordOp(self.n, out)
 
     def __sub__(self, other: "CliffordOp") -> "CliffordOp":
         return self + (-other)
 
     def __neg__(self) -> "CliffordOp":
-        return CliffordOp(self.n, {pos: -p for pos, p in self.ent.items()})
+        return CliffordOp(self.n, {w: -p for w, p in self.words.items()})
 
     def scale(self, factor) -> "CliffordOp":
         f = Poly.of(factor)
         if f.is_zero:
             return CliffordOp(self.n)
         out = {}
-        for pos, p in self.ent.items():
+        for w, p in self.words.items():
             q = p * f
             if not q.is_zero:
-                out[pos] = q
+                out[w] = q
         return CliffordOp(self.n, out)
 
     def __matmul__(self, other: "CliffordOp") -> "CliffordOp":
         self._check(other)
-        rows: dict = {}
-        for (r, c), p in other.ent.items():
-            rows.setdefault(r, []).append((c, p))
-        # sum each cell's products in place, then wrap the nonzero cells
-        cells: dict = {}
-        for (r, k), p in self.ent.items():
-            for c, q in rows.get(k, ()):
-                terms = cells.get((r, c))
+        # sum each word's products in place, then wrap the nonzero sums
+        sums: dict = {}
+        for u, p in self.words.items():
+            signed = {1: p, -1: -p}
+            for v, q in other.words.items():
+                sign, w = word_product(u, v)
+                terms = sums.get(w)
                 if terms is None:
-                    terms = cells[r, c] = {}
-                _add_product_into(terms, p, q)
+                    terms = sums[w] = {}
+                _add_product_into(terms, signed[sign], q)
         return CliffordOp(
-            self.n, {pos: Poly._own(terms) for pos, terms in cells.items() if terms}
+            self.n, {w: Poly._own(terms) for w, terms in sums.items() if terms}
         )
 
     def _check(self, other: "CliffordOp") -> None:
@@ -109,66 +142,54 @@ class CliffordOp:
 
     @property
     def is_zero(self) -> bool:
-        return not self.ent
+        return not self.words
 
     def __eq__(self, other):
         if not isinstance(other, CliffordOp):
             return NotImplemented
-        return self.n == other.n and self.ent == other.ent
+        return self.n == other.n and self.words == other.words
 
     def trace(self) -> Poly:
-        total = Poly.zero()
-        for (r, c), p in self.ent.items():
-            if r == c:
-                total = total + p
-        return total
+        """Trace on the fiber: 2**n times the coefficient of the empty word."""
+        return self.words.get(EMPTY_WORD, Poly.zero()) * (1 << self.n)
 
     def trace_on_sphere(self) -> Poly:
         """Trace with the cosphere relation applied to the coefficients."""
         return sphere_normal_form(self.trace(), self.n)
 
-    def entry(self, r: int, c: int) -> Poly:
-        return self.ent.get((r, c), Poly.zero())
-
     def __repr__(self):
-        return f"CliffordOp(n={self.n}, nnz={len(self.ent)})"
+        return f"CliffordOp(n={self.n}, words={len(self.words)})"
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
+# generators
 
 
 def build_generator(n: int, j: int, kind: str) -> CliffordOp:
     """One frame generator acting on the fiber.
 
     kind is one of "exterior", "interior", "clifford", "clifford_bar".
-    Exterior multiplication inserts covector j with the sign
-    (-1)**(number of indices below j already present); interior is its
-    adjoint.  The two Clifford actions are exterior -/+ interior.
+    The two Clifford actions are single words; exterior multiplication
+    is (c_j + cbar_j)/2 and interior multiplication, its adjoint,
+    (cbar_j - c_j)/2.
     """
     if not 1 <= j <= n:
         raise ValueError(f"frame index {j} out of range 1..{n}")
-    if kind == "clifford":
-        return build_generator(n, j, "exterior") - build_generator(n, j, "interior")
-    if kind == "clifford_bar":
-        return build_generator(n, j, "exterior") + build_generator(n, j, "interior")
-    if kind not in ("exterior", "interior"):
-        raise ValueError(f"unknown generator kind {kind!r}")
-
     bit = 1 << (j - 1)
-    below = bit - 1
+    c, cbar = (bit, 0), (0, bit)
     one = Poly.const(1)
-    minus_one = Poly.const(-1)
-    ent = {}
-    for s in range(1 << n):
-        if s & bit:
-            continue
-        sign = one if bin(s & below).count("1") % 2 == 0 else minus_one
-        if kind == "exterior":
-            ent[(s | bit, s)] = sign
-        else:
-            ent[(s, s | bit)] = sign
-    return CliffordOp(n, ent)
+    half = Poly.const(Fraction(1, 2))
+    if kind == "clifford":
+        words = {c: one}
+    elif kind == "clifford_bar":
+        words = {cbar: one}
+    elif kind == "exterior":
+        words = {c: half, cbar: half}
+    elif kind == "interior":
+        words = {c: -half, cbar: half}
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return CliffordOp(n, words)
 
 
 _KIND_BY_ACTION = {

@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic: Gaussian rationals and sparse polynomials.
 
-Everything downstream (Clifford matrices, the one-variable rational
+Everything downstream (Clifford operators, the one-variable rational
 calculus, residue integrals) runs over the two types defined here, so no
 floating point ever enters the exact pipeline.
 
@@ -146,9 +146,6 @@ class GaussianRational:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "GaussianRational":
-        return _raw(self.re, -self.im)
 
     # -- comparison / hashing ----------------------------------------
 
@@ -430,9 +427,6 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- calculus ----------------------------------------------------
 
     def diff(self, generator: Generator) -> "Poly":
@@ -458,14 +452,6 @@ class Poly:
             if not nc.is_zero:
                 out[m] = nc
         return Poly(out)
-
-    def degree_in(self, generator: Generator) -> int:
-        deg = 0
-        for m in self.terms:
-            for g, e in m:
-                if g == generator and e > deg:
-                    deg = e
-        return deg
 
     def generators(self) -> set:
         out = set()
@@ -508,15 +494,8 @@ class Poly:
         return " + ".join(parts)
 
 
-P_ZERO = Poly.zero()
-P_ONE = Poly.const(1)
-
-
 # ---------------------------------------------------------------------------
 # the cosphere relation
-
-
-_SPHERE_CACHE: dict = {}
 
 
 def sphere_normal_form(poly: Poly, n: int) -> Poly:
@@ -525,20 +504,8 @@ def sphere_normal_form(poly: Poly, n: int) -> Poly:
     The last tangential component XI(n-1) is eliminated in even powers:
     every XI(n-1)^2 is replaced by 1 - XI(1)^2 - ... - XI(n-2)^2 until
     no exponent of XI(n-1) exceeds 1.  The result is the canonical
-    representative, and the reduction is idempotent.  Results are
-    memoized; the same coefficient polynomials recur across matrix
-    entries thousands of times.
+    representative, and the reduction is idempotent.
     """
-    key = (poly, n)
-    cached = _SPHERE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    reduced = _sphere_normal_form_uncached(poly, n)
-    _SPHERE_CACHE[key] = reduced
-    return reduced
-
-
-def _sphere_normal_form_uncached(poly: Poly, n: int) -> Poly:
     last = gen_xi(n - 1)
     rest = Poly.const(1)
     for i in range(1, n - 1):

@@ -16,12 +16,17 @@ the drift enters the quadratic and gradient terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from .clifford import CliffordOp, action_of, build_generator
-from .exact import Poly, gen_pi, gen_riemann, gen_s, gen_v, gen_vs, gen_w, gen_ws
+from .clifford import (
+    CliffordOp,
+    action_of,
+    build_generator,
+    drift_exterior,
+    drift_interior,
+)
+from .exact import Poly, gen_pi, gen_riemann, gen_s, gen_w, gen_ws
 
 SQUARE_VARIANTS = ("Dv2", "DvStar2", "DvStarDv")
 
@@ -43,17 +48,15 @@ def _nabla_exterior(n: int, j: int, dual: bool) -> CliffordOp:
     )
 
 
-@lru_cache(maxsize=None)
 def curvature_term(n: int) -> CliffordOp:
     """(1/8) sum R_ijkl cbar_i cbar_j c_k c_l over all index tuples.
 
     Coefficients are stored canonically (first pair ascending, second
     pair ascending) with the antisymmetry signs tracked, so the full
-    four-fold sum exercises every orientation of each generator.
-    Operators are immutable by convention, so the memoized instance is
-    shared.  The pair products cbar_i cbar_j and c_k c_l are formed once
-    each, so every term of the sum costs a single product, and the sum
-    runs over integer signs with the factor 1/8 applied once at the end.
+    four-fold sum exercises every orientation of each generator.  The
+    pair products cbar_i cbar_j and c_k c_l are formed once each, so
+    every term of the sum costs a single product, and the sum runs over
+    integer signs with the factor 1/8 applied once at the end.
     """
     cb = {i: build_generator(n, i, "clifford_bar") for i in range(1, n + 1)}
     cc = {i: build_generator(n, i, "clifford") for i in range(1, n + 1)}
@@ -70,13 +73,7 @@ def curvature_term(n: int) -> CliffordOp:
 
 def _drift_factors(n: int, variant: str, dual: bool) -> tuple[CliffordOp, CliffordOp]:
     """Left and right drift actions in the quadratic term."""
-    interior = action_of(
-        n, [Poly.gen(gen_v(k)) for k in range(1, n + 1)], "interior_vector"
-    )
-    mk = gen_v if dual else gen_vs
-    exterior = action_of(
-        n, [Poly.gen(mk(k)) for k in range(1, n + 1)], "exterior_covector"
-    )
+    interior, exterior = drift_interior(n), drift_exterior(n, dual)
     if variant == "Dv2":
         return interior, interior
     if variant == "DvStar2":
@@ -135,14 +132,7 @@ def build_endomorphism(n: int, variant: str, dual: bool = True) -> CliffordOp:
     out = out + drift_square_term(n, variant, dual)
     out = out + drift_gradient_term(n, variant, dual)
     if variant == "DvStarDv":
-        interior = action_of(
-            n, [Poly.gen(gen_v(k)) for k in range(1, n + 1)], "interior_vector"
-        )
-        mk = gen_v if dual else gen_vs
-        exterior = action_of(
-            n, [Poly.gen(mk(k)) for k in range(1, n + 1)], "exterior_covector"
-        )
-        out = out - exterior @ interior
+        out = out - drift_exterior(n, dual) @ drift_interior(n)
     return out
 
 

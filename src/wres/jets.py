@@ -3,10 +3,10 @@
 The boundary computation only ever evaluates symbols, and single normal
 derivatives of symbols, at a fixed boundary point in adapted
 coordinates.  A SymbolJet carries exactly that: the value and, when
-tracked, the first normal derivative, both as cosphere-reduced rational
-matrices.  Tangential derivatives vanish identically at the base point
-in these coordinates, which is what collapses the composition formula
-to a single normal term.
+tracked, the first normal derivative, both as cosphere-reduced fiber
+operators with rational coefficients.  Tangential derivatives vanish
+identically at the base point in these coordinates, which is what
+collapses the composition formula to a single normal term.
 
 Second normal derivatives are never produced; any request for one fails
 loudly rather than silently returning zero.
@@ -15,7 +15,6 @@ loudly rather than silently returning zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .clifford import (
     CliffordOp,
@@ -32,7 +31,6 @@ _I = GaussianRational(0, 1)
 _MINUS_I = GaussianRational(0, -1)
 
 VARIANTS = ("Dv", "DvStar")
-RIGHT_VARIANTS = ("Dv", "DvStar", "D3")
 
 
 class SymbolJet:
@@ -72,22 +70,6 @@ def jet_mul(f: SymbolJet, g: SymbolJet) -> SymbolJet:
     else:
         dxn = None
     return SymbolJet(value, dxn)
-
-
-def jet_d_xi_n(f: SymbolJet) -> SymbolJet:
-    """Derivative in the normal covariable; commutes with the normal jet."""
-    return SymbolJet(
-        f.value.d_xi_n(), f.dxn.d_xi_n() if f.tracked else None
-    )
-
-
-def jet_d_xn(f: SymbolJet) -> MatrixSymbol:
-    """The normal derivative as a plain value.
-
-    Deliberately not a SymbolJet: a second normal derivative would need
-    jet data this representation does not carry.
-    """
-    return f.dxn_or_raise()
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +184,12 @@ def compose_symbols(
     return {m_l + m_r: top, m_l + m_r - 1: SymbolJet(next_value, None)}
 
 
-@lru_cache(maxsize=None)
-def _triple_symbols_cached(n: int, dual: bool) -> dict[int, SymbolJet]:
+def triple_symbols(n: int, dual: bool = True) -> dict[int, SymbolJet]:
+    """Graded symbol of adjoint-times-operator-times-adjoint, orders 3 and 2."""
     first = compose_symbols(
         operator_symbols(n, "DvStar", dual), operator_symbols(n, "Dv", dual)
     )
     return compose_symbols(first, operator_symbols(n, "DvStar", dual))
-
-
-def triple_symbols(n: int, dual: bool = True) -> dict[int, SymbolJet]:
-    """Graded symbol of adjoint-times-operator-times-adjoint, orders 3 and 2."""
-    return dict(_triple_symbols_cached(n, dual))
 
 
 def _norm_power(m: int) -> RationalXi:
@@ -255,21 +232,11 @@ def invert_symbol(
     return {-m: SymbolJet(q_value, q_dxn), -m - 1: SymbolJet(q_next, None)}
 
 
-@lru_cache(maxsize=None)
-def _inverse_symbols_cached(n: int, variant: str, dual: bool) -> dict[int, SymbolJet]:
+def inverse_symbols(n: int, variant: str, dual: bool = True) -> dict[int, SymbolJet]:
+    """Orders -1 and -2 of the inverse of one first-order operator,
+    or orders -3 and -4 of the inverse of the triple composition."""
     if variant == "D3":
         graded = triple_symbols(n, dual)
         return invert_symbol(graded[3], graded[2], 3)
     graded = operator_symbols(n, variant, dual)
     return invert_symbol(graded[1], graded[0], 1)
-
-
-def inverse_symbols(n: int, variant: str, dual: bool = True) -> dict[int, SymbolJet]:
-    """Orders -1 and -2 of the inverse of one first-order operator,
-    or orders -3 and -4 of the inverse of the triple composition.
-
-    Symbols are pure functions of their arguments, so results are
-    memoized for the life of the process; callers receive a fresh dict
-    but share the underlying jets.
-    """
-    return dict(_inverse_symbols_cached(n, variant, dual))

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
+from .clifford import EMPTY_WORD, word_product
 from .exact import (
     GaussianRational,
     Poly,
@@ -394,38 +395,36 @@ def sphere_integrate(poly: Poly, n: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# matrices of rational functions
+# fiber operators with rational coefficients
 
 
 class MatrixSymbol:
-    """Sparse 2**n x 2**n matrix over RationalXi, cosphere-reduced.
+    """Sparse linear combination of Clifford words over RationalXi,
+    cosphere-reduced.
 
-    Every construction path funnels through _normalized, or reduces its
-    cells the same way itself (the product), so numerator coefficients
-    stay in sphere normal form and pole cancellations that are only
-    visible modulo the cosphere relation are actually performed.
+    Words are those of clifford.CliffordOp.  Every construction path
+    funnels through _normalized, or reduces its coefficients the same way
+    itself (the product), so numerator coefficients stay in sphere normal
+    form and pole cancellations that are only visible modulo the cosphere
+    relation are actually performed.
     """
 
-    __slots__ = ("n", "ent")
+    __slots__ = ("n", "words")
 
-    def __init__(self, n: int, ent: dict | None = None, *, reduce: bool = True):
+    def __init__(self, n: int, words: dict | None = None, *, reduce: bool = True):
         self.n = n
-        if ent and reduce:
-            ent = self._normalized(n, ent)
-        self.ent = ent or {}
+        if words and reduce:
+            words = self._normalized(n, words)
+        self.words = words or {}
 
     @staticmethod
-    def _normalized(n: int, ent: dict) -> dict:
+    def _normalized(n: int, words: dict) -> dict:
         out = {}
-        for pos, r in ent.items():
+        for w, r in words.items():
             rr = r.map_coeffs(lambda p: sphere_normal_form(p, n))
             if not rr.is_zero:
-                out[pos] = rr
+                out[w] = rr
         return out
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
 
     # -- constructors ------------------------------------------------
 
@@ -438,32 +437,32 @@ class MatrixSymbol:
         c = coeff if coeff is not None else RationalXi.const(1)
         if c.is_zero:
             return MatrixSymbol(n)
-        return MatrixSymbol(n, {(s, s): c for s in range(1 << n)})
+        return MatrixSymbol(n, {EMPTY_WORD: c})
 
     @staticmethod
     def from_clifford(op, factor: RationalXi | None = None) -> "MatrixSymbol":
         """Embed a polynomial fiber operator, optionally times a rational scalar."""
-        ent = {}
-        for pos, p in op.ent.items():
+        words = {}
+        for w, p in op.words.items():
             r = RationalXi([p])
             if factor is not None:
                 r = r * factor
             if not r.is_zero:
-                ent[pos] = r
-        return MatrixSymbol(op.n, ent)
+                words[w] = r
+        return MatrixSymbol(op.n, words)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         self._check(other)
-        out = dict(self.ent)
-        for pos, r in other.ent.items():
-            acc = out.get(pos)
+        out = dict(self.words)
+        for w, r in other.words.items():
+            acc = out.get(w)
             s = r if acc is None else acc + r
             if s.is_zero:
-                out.pop(pos, None)
+                out.pop(w, None)
             else:
-                out[pos] = s
+                out[w] = s
         return MatrixSymbol(self.n, out)
 
     def __sub__(self, other: "MatrixSymbol") -> "MatrixSymbol":
@@ -471,37 +470,36 @@ class MatrixSymbol:
 
     def __neg__(self) -> "MatrixSymbol":
         return MatrixSymbol(
-            self.n, {pos: -r for pos, r in self.ent.items()}, reduce=False
+            self.n, {w: -r for w, r in self.words.items()}, reduce=False
         )
 
     def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         self._check(other)
-        rows: dict = {}
-        for (r, c), val in other.ent.items():
-            rows.setdefault(r, []).append((c, val))
-        # sum raw numerator products per cell and denominator signature
-        cells: dict = {}
-        for (r, k), left in self.ent.items():
-            for c, right in rows.get(k, ()):
-                cell = cells.get((r, c))
+        # sum raw numerator products per word and denominator signature
+        sums: dict = {}
+        for u, left in self.words.items():
+            signed = {1: left.num, -1: [-p for p in left.num]}
+            for v, right in other.words.items():
+                sign, w = word_product(u, v)
+                cell = sums.get(w)
                 if cell is None:
-                    cell = cells[r, c] = {}
+                    cell = sums[w] = {}
                 sig = (left.a + right.a, left.b + right.b)
                 acc = cell.get(sig)
                 if acc is None:
                     acc = cell[sig] = []
                 size = len(left.num) + len(right.num) - 1
                 acc.extend({} for _ in range(size - len(acc)))
-                for i, p in enumerate(left.num):
+                for i, p in enumerate(signed[sign]):
                     for j, q in enumerate(right.num):
                         _add_product_into(acc[i + j], p, q)
-        # lift each cell's sums to common pole orders, add them, reduce on
+        # lift each word's sums to common pole orders, add them, reduce on
         # the cosphere, then canonicalize once; sphere reduction and the
         # pole-divisibility test are both linear in the coefficients, so
         # this is the canonical form of the reduced sum
         n = self.n
         out: dict = {}
-        for pos, cell in cells.items():
+        for w, cell in sums.items():
             if len(cell) == 1:
                 ((top_a, top_b), total), = cell.items()
             else:
@@ -522,18 +520,15 @@ class MatrixSymbol:
             num = [sphere_normal_form(Poly._own(terms), n) for terms in total]
             s = RationalXi(num, top_a, top_b)
             if not s.is_zero:
-                out[pos] = s
+                out[w] = s
         return MatrixSymbol(n, out, reduce=False)
 
     def scale(self, factor: RationalXi) -> "MatrixSymbol":
         if factor.is_zero:
             return MatrixSymbol(self.n)
         return MatrixSymbol(
-            self.n, {pos: r * factor for pos, r in self.ent.items()}
+            self.n, {w: r * factor for w, r in self.words.items()}
         )
-
-    def scale_poly(self, factor) -> "MatrixSymbol":
-        return self.scale(RationalXi.const(Poly.of(factor)))
 
     def _check(self, other: "MatrixSymbol") -> None:
         if self.n != other.n:
@@ -542,34 +537,28 @@ class MatrixSymbol:
     # -- calculus ----------------------------------------------------
 
     def d_xi_n(self) -> "MatrixSymbol":
-        return MatrixSymbol(self.n, {pos: r.d_xi_n() for pos, r in self.ent.items()})
+        return MatrixSymbol(self.n, {w: r.d_xi_n() for w, r in self.words.items()})
 
     def pi_plus(self) -> "MatrixSymbol":
-        return MatrixSymbol(self.n, {pos: pi_plus(r) for pos, r in self.ent.items()})
+        return MatrixSymbol(self.n, {w: pi_plus(r) for w, r in self.words.items()})
 
     def pi_minus(self) -> "MatrixSymbol":
-        return MatrixSymbol(self.n, {pos: pi_minus(r) for pos, r in self.ent.items()})
+        return MatrixSymbol(self.n, {w: pi_minus(r) for w, r in self.words.items()})
 
     def trace(self) -> RationalXi:
-        total = RationalXi.zero()
-        for (r, c), val in self.ent.items():
-            if r == c:
-                total = total + val
-        return total.map_coeffs(lambda p: sphere_normal_form(p, self.n))
+        """Trace on the fiber: 2**n times the coefficient of the empty word."""
+        return self.words.get(EMPTY_WORD, RationalXi.zero()).scale(1 << self.n)
 
     # -- queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.ent
+        return not self.words
 
     def __eq__(self, other):
         if not isinstance(other, MatrixSymbol):
             return NotImplemented
-        return self.n == other.n and self.ent == other.ent
-
-    def entry(self, r: int, c: int) -> RationalXi:
-        return self.ent.get((r, c), RationalXi.zero())
+        return self.n == other.n and self.words == other.words
 
     def __repr__(self):
-        return f"MatrixSymbol(n={self.n}, nnz={len(self.ent)})"
+        return f"MatrixSymbol(n={self.n}, words={len(self.words)})"

@@ -2,6 +2,9 @@
 job files, and the thread cap."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -211,6 +214,25 @@ def test_interior_commands(capsys):
     assert payload["discrepancies"] == []
     monomials = {t["monomial"] for t in payload["total"]["terms"]}
     assert any("W(1,1)" in m for m in monomials)
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["interior", "--dim", "4", "--op", "DvStarDv", "--emit", "json"]
+    code, out, _ = run_main(capsys, argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wres.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "wres.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == out
 
 
 def test_identities_command(capsys):

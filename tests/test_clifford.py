@@ -1,10 +1,15 @@
 """Tests for the fiber Clifford algebra."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wres.clifford import (
+    EMPTY_WORD,
     CliffordOp,
     action_of,
     build_connection_ops,
@@ -13,8 +18,11 @@ from wres.clifford import (
     drift_interior,
     normal_clifford,
     tangential_clifford,
+    word_product,
 )
 from wres.exact import Poly, gen_h, gen_v, gen_vs, gen_xi
+from wres.numcheck import _exterior
+from wres.rational import MatrixSymbol
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -119,3 +127,103 @@ def test_action_of_accepts_tangential_component_lists():
 def test_action_of_rejects_bad_kind():
     with pytest.raises(ValueError):
         action_of(4, [Poly.const(1)] * 4, "no_such_action")
+
+
+# ---------------------------------------------------------------------------
+# the word basis against the oracle's dense matrices
+
+
+class DenseWords:
+    """Words c_S cbar_T as dense 2**n x 2**n matrices, built from the
+    oracle's exterior multiplications with c = e - e.T, cbar = e + e.T.
+
+    The entries are small integers, so real floating point is exact.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        ext = [_exterior(n, j).real for j in range(1, n + 1)]
+        self.c = [e - e.T for e in ext]
+        self.cbar = [e + e.T for e in ext]
+
+    def word(self, w):
+        s, t = w
+        out = np.eye(1 << self.n)
+        for j in range(self.n):
+            if s >> j & 1:
+                out = out @ self.c[j]
+        for j in range(self.n):
+            if t >> j & 1:
+                out = out @ self.cbar[j]
+        return out
+
+    def op(self, a):
+        out = np.zeros((1 << self.n, 1 << self.n))
+        for w, p in a.words.items():
+            out += p.constant_part().re * self.word(w)
+        return out
+
+
+def _random_word(rng, n):
+    return rng.randrange(1 << n), rng.randrange(1 << n)
+
+
+def _random_op(rng, n, size):
+    words = {}
+    for _ in range(size):
+        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+        words[_random_word(rng, n)] = Poly.const(coeff)
+    return CliffordOp(n, words)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_word_product_matches_dense_matrices(n):
+    dense = DenseWords(n)
+    rng = random.Random(n)
+    for _ in range(200):
+        u, v = _random_word(rng, n), _random_word(rng, n)
+        sign, w = word_product(u, v)
+        assert np.array_equal(dense.word(u) @ dense.word(v), sign * dense.word(w))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_only_the_empty_word_has_a_trace(n):
+    dense = DenseWords(n)
+    rng = random.Random(100 + n)
+    words = [(s, t) for s in range(1 << n) for t in range(1 << n)]
+    if n > 4:
+        words = [EMPTY_WORD] + rng.sample(words, 300)
+    for w in words:
+        expected = 1 << n if w == EMPTY_WORD else 0
+        assert np.trace(dense.word(w)) == expected, w
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_operator_products_match_dense_matrices(n):
+    dense = DenseWords(n)
+    rng = random.Random(200 + n)
+    for _ in range(10):
+        a = _random_op(rng, n, rng.randint(1, 12))
+        b = _random_op(rng, n, rng.randint(1, 12))
+        product = a @ b
+        assert np.array_equal(dense.op(product), dense.op(a) @ dense.op(b))
+        assert np.trace(dense.op(product)) == product.trace().constant_part().re
+        assert MatrixSymbol.from_clifford(a) @ MatrixSymbol.from_clifford(
+            b
+        ) == MatrixSymbol.from_clifford(product)
+
+
+def _words(n):
+    return st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(_words(n), _words(n), _words(n))))
+def test_word_product_is_associative(triple):
+    u, v, w = triple
+    s_uv, uv = word_product(u, v)
+    s_left, left = word_product(uv, w)
+    s_vw, vw = word_product(v, w)
+    s_right, right = word_product(u, vw)
+    assert left == right
+    assert s_uv * s_left == s_vw * s_right
