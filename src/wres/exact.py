@@ -465,7 +465,9 @@ class Poly:
     def eval_numeric(self, assignment: Mapping[Generator, complex]) -> complex:
         """Evaluate at a numeric point; unassigned generators are an error."""
         total = 0j
-        for m, c in self.terms.items():
+        # a fixed term order, so the float sum does not depend on how the
+        # terms dict was built
+        for m, c in self.sorted_terms():
             val = c.to_complex()
             for g, e in m:
                 if g not in assignment:

@@ -12,15 +12,24 @@ full covector length squared is 1 + xin**2 on the cosphere.
 Canonical form: trailing zero numerator coefficients are stripped, and
 common factors (xin -+ i) are divided out, so a and b are the true pole
 orders.  The projection pi_plus keeps the principal part at +i (the
-orientation fixed by the half-space calculus), pi_minus the one at -i,
-and the real-line integral is evaluated by closing the contour upward,
-which is exact for any proper rational integrand with quadratic decay.
+orientation fixed by the half-space calculus) and pi_minus, f - pi_plus(f),
+the one at -i.  With t = xin - i the principal part at +i is T(t) / t**a,
+where T is the Taylor polynomial below degree a of N / (t + 2i)**b: N is
+shifted to t, multiplied by the truncated series of (t + 2i)**-b and
+shifted back.  The real-line integral closes the contour upward, which is
+exact for any proper rational integrand with quadratic decay; the residue
+at +i is the xin**(a-1) coefficient of pi_plus's numerator.
+
+MatrixSymbol coefficients are reduced on the cosphere only where
+numerators are multiplied (from_clifford, identity, scale and the
+product).  Sums, negation, xin-derivatives and projections combine
+coefficients over constants, so they keep sphere normal form by
+themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Sequence
 
 from .clifford import EMPTY_WORD, word_product
@@ -36,6 +45,7 @@ from .exact import (
 _PLUS_I = GaussianRational(0, 1)
 _MINUS_I = GaussianRational(0, -1)
 _TWO_I = GaussianRational(0, 2)
+_HALF_I = GaussianRational(0, Fraction(1, 2))
 
 
 def _strip(num: list) -> list:
@@ -44,24 +54,23 @@ def _strip(num: list) -> list:
     return num
 
 
-def _eval_at(num: Sequence[Poly], c: GaussianRational) -> Poly:
-    acc = Poly.zero()
-    for k in range(len(num) - 1, -1, -1):
-        acc = acc * c + num[k]
-    return acc
+def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> list | None:
+    """num / (xin - root) if root is a root of num, else None.
 
-
-def _div_linear(num: Sequence[Poly], c: GaussianRational) -> tuple[list, Poly]:
-    """Synthetic division by (xin - c): returns (quotient, remainder)."""
-    if not num:
-        return [], Poly.zero()
-    quot = [Poly.zero()] * (len(num) - 1)
-    carry = Poly.zero()
-    for k in range(len(num) - 1, 0, -1):
-        carry = num[k] + carry * c
-        quot[k - 1] = carry
-    rem = num[0] + carry * c
-    return quot, rem
+    The remainder num(root) is summed into one dict first, so a failed
+    divisibility test builds no quotient.
+    """
+    rem: dict = {}
+    power = GaussianRational(1)
+    for p in num:
+        _add_product_into(rem, p, Poly.const(power))
+        power = power * root
+    if rem:
+        return None
+    quot = [num[-1]]
+    for p in reversed(num[1:-1]):
+        quot.append(p + quot[-1] * root)
+    return quot[::-1]
 
 
 def _mul_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
@@ -74,17 +83,32 @@ def _mul_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
     return [Poly._own(terms) for terms in out]
 
 
-def _linear_power(c: GaussianRational, k: int) -> list:
-    """Coefficient list of (xin + c)**k."""
-    out = [Poly.const(1)]
-    lin = [Poly.const(c), Poly.const(1)]
-    for _ in range(k):
-        out = _mul_coeffs(out, lin)
+def _add_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
+    if len(f) < len(g):
+        f, g = g, f
+    return [p + q for p, q in zip(f, g)] + list(f[len(g):])
+
+
+def _lift(num: Sequence[Poly], da: int, db: int) -> list:
+    """Coefficients of num * (xin - i)**da * (xin + i)**db."""
+    if not (da or db):
+        return list(num)
+    factor = [Poly.const(1)]
+    for root in (_PLUS_I,) * da + (_MINUS_I,) * db:
+        factor = _mul_coeffs(factor, [Poly.const(-root), Poly.const(1)])
+    return _mul_coeffs(num, factor)
+
+
+def _taylor_shift(num: Sequence[Poly], c: GaussianRational, size: int) -> list:
+    """Coefficients below degree size of num(xin + c), by Horner's rule."""
+    out: list = []
+    for p in reversed(num):
+        # out <- out * (xin + c) + p
+        nxt = [p] + out[: size - 1]
+        for k in range(min(len(out), size)):
+            nxt[k] = nxt[k] + out[k] * c
+        out = nxt
     return out
-
-
-def _diff_coeffs(num: Sequence[Poly]) -> list:
-    return [num[k] * k for k in range(1, len(num))]
 
 
 class RationalXi:
@@ -96,29 +120,17 @@ class RationalXi:
         if a < 0 or b < 0:
             raise ValueError("pole orders must be nonnegative")
         coeffs = _strip([Poly.of(p) for p in num])
-        if not coeffs:
-            a = b = 0
-        else:
-            while a > 0:
-                quot, rem = _div_linear(coeffs, _PLUS_I)
-                if not rem.is_zero:
+        # dividing a nonzero numerator never empties it
+        orders = [a, b] if coeffs else [0, 0]
+        for k, root in enumerate((_PLUS_I, _MINUS_I)):
+            while orders[k]:
+                quot = _divide_linear(coeffs, root)
+                if quot is None:
                     break
-                coeffs = _strip(quot)
-                a -= 1
-                if not coeffs:
-                    a = b = 0
-                    break
-            while b > 0 and coeffs:
-                quot, rem = _div_linear(coeffs, _MINUS_I)
-                if not rem.is_zero:
-                    break
-                coeffs = _strip(quot)
-                b -= 1
-            if not coeffs:
-                a = b = 0
+                coeffs = quot
+                orders[k] -= 1
         self.num = tuple(coeffs)
-        self.a = a
-        self.b = b
+        self.a, self.b = orders
 
     # -- constructors ------------------------------------------------
 
@@ -160,28 +172,9 @@ class RationalXi:
             return self
         a = max(self.a, other.a)
         b = max(self.b, other.b)
-        left = list(self.num)
-        if a > self.a or b > self.b:
-            left = _mul_coeffs(
-                left,
-                _mul_coeffs(
-                    _linear_power(_MINUS_I, a - self.a),
-                    _linear_power(_PLUS_I, b - self.b),
-                ),
-            )
-        right = list(other.num)
-        if a > other.a or b > other.b:
-            right = _mul_coeffs(
-                right,
-                _mul_coeffs(
-                    _linear_power(_MINUS_I, a - other.a),
-                    _linear_power(_PLUS_I, b - other.b),
-                ),
-            )
-        size = max(len(left), len(right))
-        left += [Poly.zero()] * (size - len(left))
-        right += [Poly.zero()] * (size - len(right))
-        return RationalXi([l + r for l, r in zip(left, right)], a, b)
+        left = _lift(self.num, a - self.a, b - self.b)
+        right = _lift(other.num, a - other.a, b - other.b)
+        return RationalXi(_add_coeffs(left, right), a, b)
 
     def __sub__(self, other: "RationalXi") -> "RationalXi":
         return self + (-other)
@@ -211,27 +204,19 @@ class RationalXi:
         """Derivative in the normal covariable."""
         if self.is_zero:
             return self
-        dnum = _diff_coeffs(self.num)
+        dnum = [p * k for k, p in enumerate(self.num) if k]
         if self.a == 0 and self.b == 0:
             return RationalXi(dnum)
         # N'(xin-i)(xin+i) - N(a(xin+i) + b(xin-i)), over orders (a+1, b+1)
-        norm = [Poly.const(1), Poly.zero(), Poly.const(1)]  # xin^2 + 1
-        first = _mul_coeffs(dnum, norm) if dnum else []
         shift = [
-            Poly.const(GaussianRational(0, self.a - self.b)),
-            Poly.const(self.a + self.b),
+            Poly.const(GaussianRational(0, self.b - self.a)),
+            Poly.const(-(self.a + self.b)),
         ]
-        second = _mul_coeffs(list(self.num), _strip(shift))
-        size = max(len(first), len(second))
-        first += [Poly.zero()] * (size - len(first))
-        second += [Poly.zero()] * (size - len(second))
         return RationalXi(
-            [f - s for f, s in zip(first, second)], self.a + 1, self.b + 1
+            _add_coeffs(_lift(dnum, 1, 1), _mul_coeffs(self.num, shift)),
+            self.a + 1,
+            self.b + 1,
         )
-
-    def map_coeffs(self, fn: Callable[[Poly], Poly]) -> "RationalXi":
-        """Apply fn to every numerator coefficient, then re-canonicalize."""
-        return RationalXi([fn(p) for p in self.num], self.a, self.b)
 
     # -- comparison --------------------------------------------------
 
@@ -258,39 +243,6 @@ class RationalXi:
 # principal parts and the line integral
 
 
-def _principal_part_coeffs(f: RationalXi, at_plus: bool) -> list:
-    """Partial-fraction coefficients at the chosen pole.
-
-    Returns [A_1 .. A_order]: f = sum A_k / (xin -+ i)**k + (rest).
-    Uses the derivative recursion for N / (xin +- i)**other applied at
-    the pole, which stays exact over the coefficient ring.
-    """
-    order = f.a if at_plus else f.b
-    other = f.b if at_plus else f.a
-    if order == 0:
-        return []
-    pole = _PLUS_I if at_plus else _MINUS_I
-    away = _MINUS_I if at_plus else _PLUS_I  # root of the other factor
-    coeffs = [Poly.zero()] * (order + 1)  # 1-indexed
-    g = list(f.num)
-    for m in range(order):
-        value = _eval_at(g, pole)
-        denom = (pole - away) ** (other + m)
-        coeffs[order - m] = value.map_coeffs(
-            lambda c, d=denom, f_=Fraction(1, factorial(m)): c / d * f_
-        )
-        if m + 1 < order:
-            # g/(x - away)^(other+m) differentiates to
-            # [g'(x - away) - (other+m) g] / (x - away)^(other+m+1)
-            dg = _diff_coeffs(g)
-            shifted = _mul_coeffs(dg, [Poly.const(-away), Poly.const(1)]) if dg else []
-            size = max(len(shifted), len(g))
-            shifted += [Poly.zero()] * (size - len(shifted))
-            gg = list(g) + [Poly.zero()] * (size - len(g))
-            g = _strip([s - q * (other + m) for s, q in zip(shifted, gg)])
-    return coeffs
-
-
 def _require_proper(f: RationalXi, op: str) -> None:
     if f.degree >= f.a + f.b:
         raise ValueError(
@@ -308,18 +260,15 @@ def pi_plus(f: RationalXi) -> RationalXi:
     if f.is_zero:
         return f
     _require_proper(f, "pi_plus")
-    coeffs = _principal_part_coeffs(f, at_plus=True)
-    if not coeffs:
+    a, b = f.a, f.b
+    if a == 0:
         return RationalXi([])
-    # sum A_k / (xin - i)**k over common denominator (xin - i)**a
-    a = f.a
-    num = [Poly.zero()] * a
-    for k in range(1, a + 1):
-        if coeffs[k].is_zero:
-            continue
-        for pos, p in enumerate(_linear_power(_MINUS_I, a - k)):
-            num[pos] = num[pos] + p * coeffs[k]
-    return RationalXi(num, a, 0)
+    # Taylor coefficients of (t + 2i)**-b: (2i)**-b binom(b+j-1, j) (i/2)**j
+    series = [Poly.const(_TWO_I ** -b)]
+    for j in range(a - 1):
+        series.append(series[-1] * (_HALF_I * Fraction(b + j, j + 1)))
+    taylor = _mul_coeffs(_taylor_shift(f.num, _PLUS_I, a), series)[:a]
+    return RationalXi(_taylor_shift(taylor, _MINUS_I, a), a, 0)
 
 
 def pi_minus(f: RationalXi) -> RationalXi:
@@ -327,17 +276,7 @@ def pi_minus(f: RationalXi) -> RationalXi:
     if f.is_zero:
         return f
     _require_proper(f, "pi_minus")
-    coeffs = _principal_part_coeffs(f, at_plus=False)
-    if not coeffs:
-        return RationalXi([])
-    b = f.b
-    num = [Poly.zero()] * b
-    for k in range(1, b + 1):
-        if coeffs[k].is_zero:
-            continue
-        for pos, p in enumerate(_linear_power(_PLUS_I, b - k)):
-            num[pos] = num[pos] + p * coeffs[k]
-    return RationalXi(num, 0, b)
+    return f - pi_plus(f)
 
 
 def integrate_real_line(f: RationalXi) -> Poly:
@@ -354,10 +293,10 @@ def integrate_real_line(f: RationalXi) -> Poly:
             f"integrand decays too slowly: numerator degree {f.degree} "
             f"with pole orders ({f.a}, {f.b})"
         )
-    if f.a == 0:
+    plus = pi_plus(f)
+    if plus.is_zero or plus.degree < plus.a - 1:
         return Poly.zero()
-    residue = _principal_part_coeffs(f, at_plus=True)[1]
-    return Poly.gen(gen_pi()) * residue * _TWO_I
+    return Poly.gen(gen_pi()) * plus.num[plus.a - 1] * _TWO_I
 
 
 def sphere_integrate(poly: Poly, n: int) -> Poly:
@@ -398,33 +337,42 @@ def sphere_integrate(poly: Poly, n: int) -> Poly:
 # fiber operators with rational coefficients
 
 
+
+# ---------------------------------------------------------------------------
+# fiber operators with rational coefficients
+
+
+def _on_sphere(num: Sequence[Poly], a: int, b: int, n: int) -> RationalXi:
+    """num / ((xin - i)**a (xin + i)**b), reduced on the cosphere, then
+    canonicalized, so pole cancellations that are only visible modulo the
+    cosphere relation are performed."""
+    return RationalXi([sphere_normal_form(p, n) for p in num], a, b)
+
+
 class MatrixSymbol:
     """Sparse linear combination of Clifford words over RationalXi,
     cosphere-reduced.
 
-    Words are those of clifford.CliffordOp.  Every construction path
-    funnels through _normalized, or reduces its coefficients the same way
-    itself (the product), so numerator coefficients stay in sphere normal
-    form and pole cancellations that are only visible modulo the cosphere
-    relation are actually performed.
+    Words are those of clifford.CliffordOp.  Every numerator coefficient
+    is in sphere normal form: the constructors and the products reduce
+    what they multiply, and every other operation combines coefficients
+    over constants, which keeps that form.
     """
 
     __slots__ = ("n", "words")
 
-    def __init__(self, n: int, words: dict | None = None, *, reduce: bool = True):
+    def __init__(self, n: int, words: dict | None = None):
         self.n = n
-        if words and reduce:
-            words = self._normalized(n, words)
         self.words = words or {}
 
-    @staticmethod
-    def _normalized(n: int, words: dict) -> dict:
-        out = {}
-        for w, r in words.items():
-            rr = r.map_coeffs(lambda p: sphere_normal_form(p, n))
-            if not rr.is_zero:
-                out[w] = rr
-        return out
+    def _map(self, fn: Callable[[RationalXi], RationalXi]) -> "MatrixSymbol":
+        """Apply fn to every coefficient, dropping the ones that vanish."""
+        words = {}
+        for w, r in self.words.items():
+            s = fn(r)
+            if not s.is_zero:
+                words[w] = s
+        return MatrixSymbol(self.n, words)
 
     # -- constructors ------------------------------------------------
 
@@ -435,18 +383,17 @@ class MatrixSymbol:
     @staticmethod
     def identity(n: int, coeff: RationalXi | None = None) -> "MatrixSymbol":
         c = coeff if coeff is not None else RationalXi.const(1)
-        if c.is_zero:
-            return MatrixSymbol(n)
-        return MatrixSymbol(n, {EMPTY_WORD: c})
+        return MatrixSymbol(n, {EMPTY_WORD: c})._map(
+            lambda r: _on_sphere(r.num, r.a, r.b, n)
+        )
 
     @staticmethod
     def from_clifford(op, factor: RationalXi | None = None) -> "MatrixSymbol":
         """Embed a polynomial fiber operator, optionally times a rational scalar."""
+        f = factor if factor is not None else RationalXi.const(1)
         words = {}
         for w, p in op.words.items():
-            r = RationalXi([p])
-            if factor is not None:
-                r = r * factor
+            r = _on_sphere([p * q for q in f.num], f.a, f.b, op.n)
             if not r.is_zero:
                 words[w] = r
         return MatrixSymbol(op.n, words)
@@ -469,9 +416,7 @@ class MatrixSymbol:
         return self + (-other)
 
     def __neg__(self) -> "MatrixSymbol":
-        return MatrixSymbol(
-            self.n, {w: -r for w, r in self.words.items()}, reduce=False
-        )
+        return self._map(RationalXi.__neg__)
 
     def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         self._check(other)
@@ -493,41 +438,27 @@ class MatrixSymbol:
                 for i, p in enumerate(signed[sign]):
                     for j, q in enumerate(right.num):
                         _add_product_into(acc[i + j], p, q)
-        # lift each word's sums to common pole orders, add them, reduce on
-        # the cosphere, then canonicalize once; sphere reduction and the
-        # pole-divisibility test are both linear in the coefficients, so
-        # this is the canonical form of the reduced sum
-        n = self.n
+        # lift each word's sums to common pole orders, add them, then reduce
+        # and canonicalize once: both are linear over constants, so this is
+        # the canonical form of the reduced sum
         out: dict = {}
         for w, cell in sums.items():
-            if len(cell) == 1:
-                ((top_a, top_b), total), = cell.items()
-            else:
-                top_a = max(a for a, _ in cell)
-                top_b = max(b for _, b in cell)
-                total = []
-                for (a, b), acc in cell.items():
-                    lift = _mul_coeffs(
-                        _linear_power(_MINUS_I, top_a - a),
-                        _linear_power(_PLUS_I, top_b - b),
-                    )
-                    size = len(acc) + len(lift) - 1
-                    total.extend({} for _ in range(size - len(total)))
-                    for i, terms in enumerate(acc):
-                        p = Poly._own(terms)
-                        for k, q in enumerate(lift):
-                            _add_product_into(total[i + k], p, q)
-            num = [sphere_normal_form(Poly._own(terms), n) for terms in total]
-            s = RationalXi(num, top_a, top_b)
+            top_a = max(a for a, _ in cell)
+            top_b = max(b for _, b in cell)
+            total: list = []
+            for (a, b), acc in cell.items():
+                lifted = _lift([Poly._own(t) for t in acc], top_a - a, top_b - b)
+                total = _add_coeffs(total, lifted)
+            s = _on_sphere(total, top_a, top_b, self.n)
             if not s.is_zero:
                 out[w] = s
-        return MatrixSymbol(n, out, reduce=False)
+        return MatrixSymbol(self.n, out)
 
     def scale(self, factor: RationalXi) -> "MatrixSymbol":
-        if factor.is_zero:
-            return MatrixSymbol(self.n)
-        return MatrixSymbol(
-            self.n, {w: r * factor for w, r in self.words.items()}
+        return self._map(
+            lambda r: _on_sphere(
+                _mul_coeffs(r.num, factor.num), r.a + factor.a, r.b + factor.b, self.n
+            )
         )
 
     def _check(self, other: "MatrixSymbol") -> None:
@@ -537,13 +468,13 @@ class MatrixSymbol:
     # -- calculus ----------------------------------------------------
 
     def d_xi_n(self) -> "MatrixSymbol":
-        return MatrixSymbol(self.n, {w: r.d_xi_n() for w, r in self.words.items()})
+        return self._map(RationalXi.d_xi_n)
 
     def pi_plus(self) -> "MatrixSymbol":
-        return MatrixSymbol(self.n, {w: pi_plus(r) for w, r in self.words.items()})
+        return self._map(pi_plus)
 
     def pi_minus(self) -> "MatrixSymbol":
-        return MatrixSymbol(self.n, {w: pi_minus(r) for w, r in self.words.items()})
+        return self._map(pi_minus)
 
     def trace(self) -> RationalXi:
         """Trace on the fiber: 2**n times the coefficient of the empty word."""

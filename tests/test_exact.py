@@ -204,6 +204,16 @@ def test_poly_eval_numeric_matches_structure():
     assert abs(value - (0.75 + 3j)) < 1e-12
 
 
+def test_poly_eval_numeric_ignores_term_insertion_order():
+    # equal polynomials must give the same float, however they were built
+    h, s = Poly.gen(gen_h()), Poly.gen(gen_s())
+    first = Poly.const(1) + h - s
+    second = h - s + Poly.const(1)
+    assert first == second
+    point = {gen_h(): 1e16, gen_s(): 1e16}
+    assert first.eval_numeric(point) == second.eval_numeric(point)
+
+
 def test_poly_eval_numeric_missing_generator():
     p = Poly.gen(gen_h())
     try:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wres.clifford import normal_clifford, tangential_clifford
 from wres.exact import (
@@ -12,7 +14,9 @@ from wres.exact import (
     gen_h,
     gen_omega,
     gen_xi,
+    sphere_normal_form,
 )
+from wres.jets import inverse_symbols
 from wres.rational import (
     MatrixSymbol,
     RationalXi,
@@ -70,6 +74,12 @@ def test_rational_cancellation_reduces_pole_order():
     f = RationalXi(num, 1, 1)
     assert f == RationalXi.const(1)
     assert f.a == 0 and f.b == 0
+    # xi_n (xi_n - i)^2 (xi_n + i) / ((xi_n - i)^3 (xi_n + i)^2): both poles
+    # cancel in part, leaving xi_n / ((xi_n - i)(xi_n + i))
+    num = tuple(Poly.const(c) for c in (0, -I, 1, -I, 1))
+    f = RationalXi(num, 3, 2)
+    assert f.a == 1 and f.b == 1
+    assert f.num == (Poly.zero(), Poly.const(1))
 
 
 def test_derivative_matches_finite_differences():
@@ -244,3 +254,108 @@ def test_matrix_symbol_trace_reduces_on_sphere():
     c_tan = MatrixSymbol.from_clifford(tangential_clifford(n))
     sq = c_tan @ c_tan
     assert sq.trace() == RationalXi.const(-(1 << n))
+
+
+# ---------------------------------------------------------------------------
+# properties on random rationals with Gaussian-rational coefficients
+
+_gaussian = st.builds(
+    GaussianRational,
+    st.fractions(-5, 5, max_denominator=4),
+    st.fractions(-5, 5, max_denominator=4),
+)
+
+
+@st.composite
+def rationals(draw, proper=False):
+    a = draw(st.integers(0, 3))
+    b = draw(st.integers(0, 3))
+    size = a + b if proper else a + b + 2
+    coeffs = draw(st.lists(_gaussian, max_size=size))
+    return RationalXi([Poly.const(c) for c in coeffs], a, b)
+
+
+@given(rationals(), rationals(), rationals())
+def test_rational_ring_laws(f, g, h):
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert f - f == RationalXi.zero()
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * (g + h) == f * g + f * h
+    assert f * RationalXi.const(1) == f
+
+
+@given(rationals(), rationals())
+def test_derivative_leibniz_rule(f, g):
+    assert (f * g).d_xi_n() == f.d_xi_n() * g + f * g.d_xi_n()
+
+
+@given(rationals(proper=True))
+def test_projection_properties(f):
+    plus = pi_plus(f)
+    minus = pi_minus(f)
+    assert plus.b == 0
+    assert minus.a == 0
+    assert pi_plus(plus) == plus
+    assert plus + minus == f
+
+
+def _to_sympy(sp, f, x):
+    def scalar(p):
+        c = p.constant_part()
+        re, im = Fraction(c.re), Fraction(c.im)
+        return sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(
+            im.numerator, im.denominator
+        )
+
+    num = sum(scalar(p) * x**k for k, p in enumerate(f.num))
+    return num / ((x - sp.I) ** f.a * (x + sp.I) ** f.b)
+
+
+def test_projections_and_residue_match_sympy():
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+    rng = random.Random(61)
+    for _ in range(10):
+        f = random_rational(rng)
+        expr = _to_sympy(sp, f, x)
+        # every partial-fraction term has its pole at exactly one of +-i
+        parts = {sp.I: 0, -sp.I: 0}
+        split = sp.expand_mul(sp.apart(expr, x, full=True).doit())
+        for term in sp.Add.make_args(split):
+            den = sp.denom(sp.together(term))
+            (pole,) = [p for p in parts if den.subs(x, p) == 0]
+            parts[pole] += term
+        assert sp.cancel(_to_sympy(sp, pi_plus(f), x) - parts[sp.I]) == 0
+        assert sp.cancel(_to_sympy(sp, pi_minus(f), x) - parts[-sp.I]) == 0
+        if f.degree <= f.a + f.b - 2:
+            res = sp.residue(expr, x, sp.I)
+            re, im = (
+                Fraction(int(sp.numer(v)), int(sp.denom(v)))
+                for v in (sp.re(res), sp.im(res))
+            )
+            two_pi_i = Poly.gen(("PI",), coeff=GaussianRational(0, 2))
+            assert integrate_real_line(f) == two_pi_i * GaussianRational(re, im)
+
+
+# ---------------------------------------------------------------------------
+# the cosphere invariant of MatrixSymbol
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_matrix_symbol_results_stay_in_sphere_normal_form(n):
+    symbols = []
+    for variant in ("Dv", "D3"):
+        for jet in inverse_symbols(n, variant).values():
+            symbols += [jet.value] + ([jet.dxn] if jet.dxn is not None else [])
+    results = []
+    for s in symbols:
+        results += [-s, s.d_xi_n(), s.pi_plus(), s.pi_minus()]
+    for s, t in zip(symbols, symbols[1:] + symbols[:1]):
+        product = s @ t
+        results += [product, product.pi_plus(), product.pi_minus(), s + t, s - t]
+    for result in symbols + results:
+        for r in result.words.values():
+            for p in r.num:
+                assert sphere_normal_form(p, n) == p
