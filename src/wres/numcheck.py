@@ -15,6 +15,18 @@ warp derivative and the drift components, and the case integrals are
 compared against the exact trace integrals evaluated at that direction.
 Sphere integration is validated separately by Monte-Carlo moments, so
 quadrature-level agreement is not diluted by sampling noise.
+
+Dense work is done once per scenario: its cases share one fiber, one
+inverse family per operator and one pole expansion per (operator, jet,
+order) function.  A `PoleExpansion` samples its function once per pole
+on the stacked contour nodes, so the function must accept a stacked
+argument; the fiber's symbols do, since `@` and `np.linalg.inv` act on
+stacks.  Because the trace is bilinear in the pole terms, each case
+contracts tr(A_k B_m) of the two expansions once, and the quadrature
+integrand is a small scalar form in powers of 1/(x -+ i).  This is the
+same contour-and-quadrature computation in another order of summation,
+built from the oracle's own dense matrices: no exact-engine code enters
+it, so agreement still means what it meant.
 """
 
 from __future__ import annotations
@@ -251,26 +263,41 @@ class NumericFiber:
 # contour-based pole expansions
 
 
-def _pole_coefficients(f, center: complex, order: int) -> list:
+def _pole_coefficients(f, center: complex, order: int) -> np.ndarray:
     """Principal-part coefficients of f at center by contour trapezoid.
 
-    Returns [A_1 .. A_order] with f ~ sum A_k / (z - center)**k near the
-    center; spectral accuracy in the node count for rational f.
+    Returns the stack [A_1 .. A_order] with f ~ sum A_k / (z - center)**k
+    near the center; spectral accuracy in the node count for rational f.
+    f is called once, on all nodes stacked along a leading axis.
     """
     m = _CONTOUR_NODES
     r = _CONTOUR_RADIUS
     theta = 2.0 * math.pi * np.arange(m) / m
     ring = r * np.exp(1j * theta)
-    samples = [f(center + w) for w in ring]
-    coeffs = []
-    for k in range(1, order + 1):
-        acc = sum(s * (w**k) for s, w in zip(samples, ring))
-        coeffs.append(acc / m)
-    return coeffs
+    samples = np.asarray(f(center + ring[:, None, None]))
+    powers = ring[None, :] ** np.arange(1, order + 1)[:, None]
+    coeffs = powers @ samples.reshape(m, -1) / m
+    return coeffs.reshape((order,) + samples.shape[1:])
+
+
+def _derivative_factors(order: int, deriv: int) -> np.ndarray:
+    """Factors c_k with d^deriv/dz^deriv (z-p)^-k = c_k (z-p)^-(k+deriv)."""
+    k = np.arange(1, order + 1)
+    factors = np.ones(order)
+    for u in range(deriv):
+        factors *= -(k + u)
+    return factors
 
 
 class PoleExpansion:
-    """f as principal parts at +i and -i; proper rational in between."""
+    """f as principal parts at +i and -i; proper rational in between.
+
+    f is sampled once per pole on the whole contour: it receives z of
+    shape (nodes, 1, 1) and must return its values stacked along the
+    leading axis, shape (nodes, *s).  The fiber's inverse symbols do so
+    because `@` and `np.linalg.inv` act on stacks; a scalar f does so by
+    broadcasting, and its values come back with shape s = (1, 1).
+    """
 
     def __init__(self, f, order: int = _POLE_ORDER):
         self.plus = _pole_coefficients(f, 1j, order)
@@ -294,6 +321,37 @@ class PoleExpansion:
     def eval_plus(self, z: complex, deriv: int = 0):
         """Only the upper principal part: the half-space projection."""
         return self._eval_side(self.plus, 1j, z, deriv)
+
+
+def _trace_integrand(
+    left: PoleExpansion, right: PoleExpansion, case: CaseTuple
+):
+    """x -> coeff * tr(left.eval_plus(x, k) @ right.eval(x, j + 1)).
+
+    The trace is bilinear in the pole terms, so it is contracted once:
+    G[k, m] = coeff * f_k * g_m * tr(A_k B_m) over the upper terms A of
+    left and the terms B of both poles of right, with f, g the derivative
+    factors.  The integrand is then w(x) @ G @ u(x), where w and u hold
+    the matching powers of 1/(x - i) and 1/(x -+ i).
+    """
+    order = len(left.plus)
+    terms = np.concatenate((right.plus, right.minus))
+    gram = np.einsum("kab,mba->km", left.plus, terms)
+    gram *= _case_coefficient(case) * np.outer(
+        _derivative_factors(order, case.k),
+        np.tile(_derivative_factors(order, case.j + 1), 2),
+    )
+    powers = np.arange(1, order + 1)
+    left_powers = powers + case.k
+    right_powers = np.tile(powers + case.j + 1, 2)
+    right_poles = np.repeat([1j, -1j], order)
+
+    def integrand(x: float) -> complex:
+        w = (1.0 / (x - 1j)) ** left_powers
+        u = (1.0 / (x - right_poles)) ** right_powers
+        return w @ gram @ u
+
+    return integrand
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +394,41 @@ def _case_coefficient(case: CaseTuple) -> complex:
     )
 
 
+def _line_integrals(
+    cases: list, scenario: NumericScenario, left_op: str, right_op: str
+) -> list:
+    """Quadrature values of several cases at one scenario.
+
+    The cases share one fiber, one inverse family per operator and one
+    pole expansion per (operator, jet, order) function.
+    """
+    fiber = NumericFiber(scenario)
+    families = {op: fiber.inverse_family(op) for op in (left_op, right_op)}
+    expansions = {}
+
+    def expansion(op: str, jet: int, order: int) -> PoleExpansion:
+        key = (op, jet, order)
+        if key not in expansions:
+            kind = "value" if jet == 0 else "dxn"
+            expansions[key] = PoleExpansion(families[op][kind][order])
+        return expansions[key]
+
+    values = []
+    for case in cases:
+        if case.alpha > 0:
+            values.append(0.0 + 0.0j)
+            continue
+        if case.j > 1 or case.k > 1:
+            raise ValueError("needs higher normal jets than tracked")
+        integrand = _trace_integrand(
+            expansion(left_op, case.j, case.r),
+            expansion(right_op, case.k, case.l),
+            case,
+        )
+        values.append(line_quad(integrand, scenario.t_bound))
+    return values
+
+
 def numeric_line_integral(
     case: CaseTuple, scenario: NumericScenario, left_op: str, right_op: str
 ) -> complex:
@@ -345,27 +438,7 @@ def numeric_line_integral(
     sphere integration: coefficient times the normal-covariable integral
     of the fiber trace.
     """
-    if case.alpha > 0:
-        return 0.0 + 0.0j
-    if case.j > 1 or case.k > 1:
-        raise ValueError(
-            "needs higher normal jets than tracked"
-        )
-    fiber = NumericFiber(scenario)
-    left = fiber.inverse_family(left_op)
-    right = fiber.inverse_family(right_op)
-    left_fn = left["value"][case.r] if case.j == 0 else left["dxn"][case.r]
-    right_fn = right["value"][case.l] if case.k == 0 else right["dxn"][case.l]
-    left_poles = PoleExpansion(left_fn)
-    right_poles = PoleExpansion(right_fn)
-    coeff = _case_coefficient(case)
-
-    def integrand(x: float) -> complex:
-        lmat = left_poles.eval_plus(x, deriv=case.k)
-        rmat = right_poles.eval(x, deriv=case.j + 1)
-        return coeff * np.trace(lmat @ rmat)
-
-    return line_quad(integrand, scenario.t_bound)
+    return _line_integrals([case], scenario, left_op, right_op)[0]
 
 
 def numeric_evaluate_case(
@@ -449,12 +522,12 @@ def crosscheck(
     imaginary part is flagged separately.
     """
     assignment = scenario.assignment()
+    numerics = _line_integrals(
+        [report.tuple for report in reports], scenario, left_op, right_op
+    )
     rows = []
-    for report in reports:
+    for report, numeric in zip(reports, numerics):
         exact = report.trace_integral.eval_numeric(assignment)
-        numeric = numeric_line_integral(
-            report.tuple, scenario, left_op, right_op
-        )
         rel = _relative_error(exact, numeric)
         exact_is_real = all(
             c.im == 0 for c in report.trace_integral.terms.values()

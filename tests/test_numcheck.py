@@ -12,9 +12,13 @@ import pytest
 from wres.boundary import CaseTuple, boundary_phi
 from wres.exact import GaussianRational, Poly, gen_omega
 from wres.numcheck import (
+    _POLE_ORDER,
     NumericFiber,
     NumericScenario,
     PoleExpansion,
+    _case_coefficient,
+    _pole_coefficients,
+    _trace_integrand,
     crosscheck,
     line_quad,
     numeric_evaluate_case,
@@ -124,9 +128,11 @@ def test_pole_expansion_projection_golden():
 
 def test_pole_expansion_handles_matrix_values():
     def f(z):
-        return np.array(
-            [[1.0 / (z - 1j), 0.0], [1.0, 1.0 / (z + 1j) ** 2]],
-            dtype=complex,
+        return np.block(
+            [
+                [1.0 / (z - 1j), np.zeros_like(z)],
+                [np.ones_like(z), 1.0 / (z + 1j) ** 2],
+            ]
         )
 
     poles = PoleExpansion(f)
@@ -199,6 +205,66 @@ def test_crosscheck_dim4_all_rows_pass():
             assert row.passed
             assert not row.spurious_imag
             assert row.rel_err < 1e-9
+
+
+@pytest.mark.parametrize(
+    "n, left, right", [(4, "Dv", "DvStar"), (6, "Dv", "D3")]
+)
+def test_contracted_integrand_matches_matrix_trace(n, left, right):
+    """The scalar contraction w(x) @ G @ u(x) is the trace of the product
+    of the two evaluated pole expansions, case by case."""
+    _, reports = boundary_phi(n, left, right)
+    fiber = NumericFiber(NumericScenario.draw(n, 29))
+    left_family = fiber.inverse_family(left)
+    right_family = fiber.inverse_family(right)
+    live = [r.tuple for r in reports if not r.structurally_zero]
+    assert live
+    for case in live:
+        lp = PoleExpansion(
+            left_family["value" if case.j == 0 else "dxn"][case.r]
+        )
+        rp = PoleExpansion(
+            right_family["value" if case.k == 0 else "dxn"][case.l]
+        )
+        integrand = _trace_integrand(lp, rp, case)
+        coeff = _case_coefficient(case)
+        for x in (-7.5, -2.3, -1.0, -0.4, 0.0, 0.6, 1.9, 11.0):
+            want = coeff * np.trace(
+                lp.eval_plus(x, case.k) @ rp.eval(x, case.j + 1)
+            )
+            assert abs(integrand(x) - want) <= 1e-12 * abs(want)
+
+
+def test_crosscheck_rows_match_standalone_line_integrals():
+    """Sharing the fiber and the pole expansions across a scenario's
+    cases does the same arithmetic as one case at a time."""
+    _, reports = boundary_phi(4, "Dv", "DvStar")
+    live = [r for r in reports if not r.structurally_zero]
+    scenario = NumericScenario.draw(4, 8)
+    rows = crosscheck(live, scenario, "Dv", "DvStar")
+    assert [row.case for row in rows] == [r.tuple for r in live]
+    for row in rows:
+        alone = numeric_line_integral(row.case, scenario, "Dv", "DvStar")
+        assert row.numeric == alone
+
+
+@pytest.mark.parametrize(
+    "n, op", [(4, "Dv"), (4, "DvStar"), (6, "Dv"), (6, "DvStar"), (6, "D3")]
+)
+def test_pole_order_covers_every_inverse_family(n, op):
+    """The assumed principal-part length is long enough: the contour
+    coefficients of the four orders beyond it vanish at both poles."""
+    fiber = NumericFiber(NumericScenario.draw(n, 101))
+    for kind, functions in fiber.inverse_family(op).items():
+        for order, fn in functions.items():
+            coeffs = np.abs(
+                [
+                    _pole_coefficients(fn, pole, _POLE_ORDER + 4)
+                    for pole in (1j, -1j)
+                ]
+            )
+            tail = coeffs[:, _POLE_ORDER:].max()
+            assert tail < 1e-12 * coeffs.max(), (kind, order, tail)
 
 
 def test_crosscheck_flags_injected_fault():
