@@ -59,10 +59,10 @@ from .interior import (
 from .jets import (
     GeometryTable,
     SymbolJet,
+    composite_symbols,
     compose_symbols,
     inverse_symbols,
     operator_symbols,
-    triple_symbols,
 )
 from .numcheck import (
     CheckRow,

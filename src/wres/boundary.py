@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import GR_MINUS_I, GaussianRational, Poly
-from .jets import SymbolJet, inverse_symbols
+from .jets import _FACTORS, SymbolJet, inverse_symbols
 from .rational import integrate_real_line, sphere_integrate
 
 SUPPORTED_PAIRS = {
@@ -34,7 +34,7 @@ SUPPORTED_PAIRS = {
     (6, "Dv", "D3"),
 }
 
-_ORDER_OF = {"Dv": 1, "DvStar": 1, "D3": 3}
+_ORDER_OF = {op: len(factors) for op, factors in _FACTORS.items()}
 
 
 @dataclass(frozen=True)

@@ -275,18 +275,14 @@ def _validate(spec: JobSpec) -> None:
 # serialization helpers
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _poly_to_json(poly: Poly) -> dict:
     terms = []
     for monomial, coeff in poly.sorted_terms():
         terms.append(
             {
                 "monomial": _format_monomial(monomial),
-                "re": _fraction_str(coeff.re),
-                "im": _fraction_str(coeff.im),
+                "re": str(coeff.re),
+                "im": str(coeff.im),
             }
         )
     return {"terms": terms}

@@ -81,10 +81,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
@@ -426,32 +422,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.terms == other.terms
-
-    # -- calculus ----------------------------------------------------
-
-    def diff(self, generator: Generator) -> "Poly":
-        """Formal partial derivative with respect to one generator."""
-        out: dict = {}
-        for m, c in self.terms.items():
-            for idx, (g, e) in enumerate(m):
-                if g == generator:
-                    if e == 1:
-                        nm = m[:idx] + m[idx + 1 :]
-                    else:
-                        nm = m[:idx] + ((g, e - 1),) + m[idx + 1 :]
-                    nc = c * e
-                    acc = out.get(nm)
-                    out[nm] = nc if acc is None else acc + nc
-                    break
-        return Poly({m: c for m, c in out.items() if not c.is_zero})
-
-    def map_coeffs(self, fn) -> "Poly":
-        out: dict = {}
-        for m, c in self.terms.items():
-            nc = fn(c)
-            if not nc.is_zero:
-                out[m] = nc
-        return Poly(out)
 
     def generators(self) -> set:
         out = set()

@@ -15,6 +15,7 @@ loudly rather than silently returning zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .clifford import (
     CliffordOp,
@@ -31,6 +32,13 @@ _I = GaussianRational(0, 1)
 _MINUS_I = GaussianRational(0, -1)
 
 VARIANTS = ("Dv", "DvStar")
+
+# Each operator as the product of its first-order factors, left to right.
+_FACTORS = {
+    "Dv": ("Dv",),
+    "DvStar": ("DvStar",),
+    "D3": ("DvStar", "Dv", "DvStar"),
+}
 
 
 class SymbolJet:
@@ -87,28 +95,6 @@ class GeometryTable:
     def __init__(self, n: int):
         self.n = n
         self.h = Poly.gen(gen_h())
-
-    def omega(self, s: int, t: int, i: int) -> Poly:
-        """Connection matrix entry omega_{s,t}(e_i) at the base point."""
-        if i < self.n:
-            if s == self.n and t == i:
-                return self.h * Fraction(1, 2)
-            if s == i and t == self.n:
-                return self.h * Fraction(-1, 2)
-        return Poly.zero()
-
-    def christoffel(self, up: int, lo1: int, lo2: int) -> Poly:
-        """Christoffel symbol at the base point, orthonormal-frame indices."""
-        n = self.n
-        if up == n and lo1 == lo2 and lo1 < n:
-            return self.h * Fraction(1, 2)
-        if up < n and ((lo1 == n and lo2 == up) or (lo1 == up and lo2 == n)):
-            return self.h * Fraction(-1, 2)
-        return Poly.zero()
-
-    def dxn_norm_sq_on_sphere(self) -> Poly:
-        """Normal derivative of the covector length squared, |xi'| = 1."""
-        return self.h
 
     def dxn_tangential_clifford(self) -> CliffordOp:
         """Normal derivative of the tangential Clifford action at the base point.
@@ -184,12 +170,15 @@ def compose_symbols(
     return {m_l + m_r: top, m_l + m_r - 1: SymbolJet(next_value, None)}
 
 
-def triple_symbols(n: int, dual: bool = True) -> dict[int, SymbolJet]:
-    """Graded symbol of adjoint-times-operator-times-adjoint, orders 3 and 2."""
-    first = compose_symbols(
-        operator_symbols(n, "DvStar", dual), operator_symbols(n, "Dv", dual)
+def composite_symbols(
+    n: int, op: str, dual: bool = True
+) -> dict[int, SymbolJet]:
+    """Leading two orders of the graded symbol of op's factor product."""
+    if op not in _FACTORS:
+        raise ValueError(f"unknown operator selector {op!r}")
+    return reduce(
+        compose_symbols, (operator_symbols(n, f, dual) for f in _FACTORS[op])
     )
-    return compose_symbols(first, operator_symbols(n, "DvStar", dual))
 
 
 def _norm_power(m: int) -> RationalXi:
@@ -233,10 +222,8 @@ def invert_symbol(
 
 
 def inverse_symbols(n: int, variant: str, dual: bool = True) -> dict[int, SymbolJet]:
-    """Orders -1 and -2 of the inverse of one first-order operator,
-    or orders -3 and -4 of the inverse of the triple composition."""
-    if variant == "D3":
-        graded = triple_symbols(n, dual)
-        return invert_symbol(graded[3], graded[2], 3)
-    graded = operator_symbols(n, variant, dual)
-    return invert_symbol(graded[1], graded[0], 1)
+    """Leading two orders of the inverse of variant's composed symbol:
+    orders -1 and -2 for a first-order operator, -3 and -4 for D3."""
+    graded = composite_symbols(n, variant, dual)
+    m = max(graded)
+    return invert_symbol(graded[m], graded[m - 1], m)

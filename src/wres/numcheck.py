@@ -16,23 +16,29 @@ compared against the exact trace integrals evaluated at that direction.
 Sphere integration is validated separately by Monte-Carlo moments, so
 quadrature-level agreement is not diluted by sampling noise.
 
-Dense work is done once per scenario: its cases share one fiber, one
-inverse family per operator and one pole expansion per (operator, jet,
-order) function.  A `PoleExpansion` samples its function once per pole
-on the stacked contour nodes, so the function must accept a stacked
-argument; the fiber's symbols do, since `@` and `np.linalg.inv` act on
-stacks.  Because the trace is bilinear in the pole terms, each case
-contracts tr(A_k B_m) of the two expansions once, and the quadrature
-integrand is a small scalar form in powers of 1/(x -+ i).  This is the
-same contour-and-quadrature computation in another order of summation,
-built from the oracle's own dense matrices: no exact-engine code enters
-it, so agreement still means what it meant.
+Each operator is the product of its first-order factors (`_FACTORS`).
+One dense `_compose` folds their symbol jets and one `_invert` takes the
+leading two orders of the inverse, so every operator's inverse family
+is one function of z that returns its three members stacked: the
+leading value, its normal derivative and the subleading value.
+
+Dense work is done once per scenario: its cases share one fiber and one
+pole expansion per operator.  A `PoleExpansion` samples its function
+once per pole on the stacked contour nodes, so the function must accept
+a stacked argument; the inverse families do, since `@` and
+`np.linalg.inv` act on stacks.  Because the trace is bilinear in the
+pole terms, each case contracts tr(A_k B_m) of the two members it reads
+once, and the quadrature integrand is a small scalar form in powers of
+1/(x -+ i).  This is the same contour-and-quadrature computation in
+another order of summation, built from the oracle's own dense matrices:
+no exact-engine code enters it, so agreement still means what it meant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from math import factorial
 
 import numpy as np
@@ -44,6 +50,14 @@ from .exact import gen_h, gen_omega, gen_pi, gen_v, gen_vs, gen_xi
 _POLE_ORDER = 10
 _CONTOUR_NODES = 64
 _CONTOUR_RADIUS = 0.5
+
+# Each operator as the product of its first-order factors, left to right.
+# The engine keeps its own table; crosscheck fails if the two disagree.
+_FACTORS = {
+    "Dv": ("Dv",),
+    "DvStar": ("DvStar",),
+    "D3": ("DvStar", "Dv", "DvStar"),
+}
 
 
 def omega_area(d: int) -> float:
@@ -162,101 +176,68 @@ class NumericFiber:
         dual_comps = scenario.v if scenario.dual else scenario.vs
         self.drift_ext = sum(x * e for x, e in zip(dual_comps, ext))
 
-    # -- first-order operators ----------------------------------------
+    def _first_order_symbol(self, variant: str, z) -> tuple:
+        """Jet of one first-order operator's symbol at z.
 
-    def p1(self, z: complex) -> np.ndarray:
-        return 1j * (self.c_tan + z * self.c_nor)
-
-    def p1_dxn(self, z: complex) -> np.ndarray:
-        return 1j * (self.scenario.h / 2.0) * self.c_tan
-
-    def p1_dxi(self, z: complex) -> np.ndarray:
-        return 1j * self.c_nor
-
-    def p0(self, variant: str) -> np.ndarray:
+        The tuple is (top, d_xn top, d_xin top, order-0 part): the order-1
+        value, its normal position and normal covariable derivatives, and
+        the order-0 value.
+        """
         drift = self.drift_int if variant == "Dv" else self.drift_ext
-        return self.a_op + self.b_op + drift
+        return (
+            1j * (self.c_tan + z * self.c_nor),
+            1j * (self.scenario.h / 2.0) * self.c_tan,
+            1j * self.c_nor,
+            self.a_op + self.b_op + drift,
+        )
 
-    # -- inverse symbols ----------------------------------------------
+    def inverse_family(self, op: str):
+        """The inverse of op's composed symbol as one function of z.
 
-    def first_inverse(self, variant: str) -> dict:
-        """Order -1 value, its normal derivative, and the order -2 value."""
-        p0 = self.p0(variant)
+        For z stacked along a leading axis the function returns, stacked
+        along axis 1, the leading value (order -len(factors)), its normal
+        derivative, and the subleading value.
+        """
+        if op not in _FACTORS:
+            raise ValueError(f"unknown operator selector {op!r}")
+        factors = _FACTORS[op]
 
-        def q1(z):
-            return np.linalg.inv(self.p1(z))
+        def family(z):
+            jets = (self._first_order_symbol(f, z) for f in factors)
+            return np.stack(_invert(reduce(_compose, jets)), axis=1)
 
-        def q1_dxn(z):
-            q = q1(z)
-            return -q @ self.p1_dxn(z) @ q
+        return family
 
-        def q2(z):
-            q = q1(z)
-            return -q @ (p0 @ q - 1j * self.p1_dxi(z) @ q1_dxn(z))
 
-        return {"value": {-1: q1, -2: q2}, "dxn": {-1: q1_dxn}}
+def _compose(left: tuple, right: tuple) -> tuple:
+    """Leading two orders of the composed symbol, with the top's jets.
 
-    def triple_inverse(self) -> dict:
-        """Orders -3 and -4 of the inverse of adjoint, operator, adjoint."""
-        p0_l = self.p0("Dv")
-        p0_s = self.p0("DvStar")
+    At the base point only the normal pairing survives at the subleading
+    order: -i d_xin(left top) d_xn(right top).
+    """
+    lt, lxn, lxi, llow = left
+    rt, rxn, rxi, rlow = right
+    return (
+        lt @ rt,
+        lxn @ rt + lt @ rxn,
+        lxi @ rt + lt @ rxi,
+        lt @ rlow + llow @ rt - 1j * lxi @ rxn,
+    )
 
-        def p1(z):
-            return self.p1(z)
 
-        def e2(z):
-            return p1(z) @ p1(z)
+def _invert(symbol: tuple) -> tuple:
+    """Leading value, its normal derivative and the subleading value of
+    the inverse symbol: LAPACK for the top, then the standard recursion."""
+    top, top_dxn, top_dxi, low = symbol
+    q = np.linalg.inv(top)
+    q_dxn = -q @ top_dxn @ q
+    return q, q_dxn, -q @ (low @ q - 1j * top_dxi @ q_dxn)
 
-        def e2_dxn(z):
-            d = self.p1_dxn(z)
-            return d @ p1(z) + p1(z) @ d
 
-        def e2_dxi(z):
-            d = self.p1_dxi(z)
-            return d @ p1(z) + p1(z) @ d
-
-        def e1(z):
-            return (
-                p1(z) @ p0_l
-                + p0_s @ p1(z)
-                - 1j * self.p1_dxi(z) @ self.p1_dxn(z)
-            )
-
-        def p3(z):
-            return e2(z) @ p1(z)
-
-        def p3_dxn(z):
-            return e2_dxn(z) @ p1(z) + e2(z) @ self.p1_dxn(z)
-
-        def p3_dxi(z):
-            return e2_dxi(z) @ p1(z) + e2(z) @ self.p1_dxi(z)
-
-        def p2(z):
-            return (
-                e2(z) @ p0_s
-                + e1(z) @ p1(z)
-                - 1j * e2_dxi(z) @ self.p1_dxn(z)
-            )
-
-        def q3(z):
-            return np.linalg.inv(p3(z))
-
-        def q3_dxn(z):
-            q = q3(z)
-            return -q @ p3_dxn(z) @ q
-
-        def q4(z):
-            q = q3(z)
-            return -q @ (p2(z) @ q - 1j * p3_dxi(z) @ q3_dxn(z))
-
-        return {"value": {-3: q3, -4: q4}, "dxn": {-3: q3_dxn}}
-
-    def inverse_family(self, op: str) -> dict:
-        if op in ("Dv", "DvStar"):
-            return self.first_inverse(op)
-        if op == "D3":
-            return self.triple_inverse()
-        raise ValueError(f"unknown operator selector {op!r}")
+def _member(op: str, jet: int, order: int) -> int:
+    """Axis-1 index in `inverse_family(op)` of one (jet, order) symbol."""
+    top = -len(_FACTORS[op])
+    return {(0, top): 0, (1, top): 1, (0, top - 1): 2}[jet, order]
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +305,27 @@ class PoleExpansion:
 
 
 def _trace_integrand(
-    left: PoleExpansion, right: PoleExpansion, case: CaseTuple
+    left: PoleExpansion,
+    left_member: int,
+    right: PoleExpansion,
+    right_member: int,
+    case: CaseTuple,
 ):
-    """x -> coeff * tr(left.eval_plus(x, k) @ right.eval(x, j + 1)).
+    """x -> coeff * tr(L(x) @ R(x)) for one member of each expansion.
 
-    The trace is bilinear in the pole terms, so it is contracted once:
+    L is the upper part of left's member, differentiated case.k times; R
+    is right's member, differentiated case.j + 1 times.  The trace is
+    bilinear in the pole terms, so it is contracted once:
     G[k, m] = coeff * f_k * g_m * tr(A_k B_m) over the upper terms A of
-    left and the terms B of both poles of right, with f, g the derivative
+    L and the terms B of both poles of R, with f, g the derivative
     factors.  The integrand is then w(x) @ G @ u(x), where w and u hold
     the matching powers of 1/(x - i) and 1/(x -+ i).
     """
     order = len(left.plus)
-    terms = np.concatenate((right.plus, right.minus))
-    gram = np.einsum("kab,mba->km", left.plus, terms)
+    terms = np.concatenate(
+        (right.plus[:, right_member], right.minus[:, right_member])
+    )
+    gram = np.einsum("kab,mba->km", left.plus[:, left_member], terms)
     gram *= _case_coefficient(case) * np.outer(
         _derivative_factors(order, case.k),
         np.tile(_derivative_factors(order, case.j + 1), 2),
@@ -399,20 +388,17 @@ def _line_integrals(
 ) -> list:
     """Quadrature values of several cases at one scenario.
 
-    The cases share one fiber, one inverse family per operator and one
-    pole expansion per (operator, jet, order) function.
+    The cases share one fiber and one pole expansion per operator.  Each
+    expansion holds the three members of the operator's inverse family
+    (leading value, its normal derivative, subleading value) stacked
+    along axis 1, all from one sample of the family per pole; a case
+    reads the member its jet and order select.
     """
     fiber = NumericFiber(scenario)
-    families = {op: fiber.inverse_family(op) for op in (left_op, right_op)}
-    expansions = {}
-
-    def expansion(op: str, jet: int, order: int) -> PoleExpansion:
-        key = (op, jet, order)
-        if key not in expansions:
-            kind = "value" if jet == 0 else "dxn"
-            expansions[key] = PoleExpansion(families[op][kind][order])
-        return expansions[key]
-
+    expansions = {
+        op: PoleExpansion(fiber.inverse_family(op))
+        for op in dict.fromkeys((left_op, right_op))
+    }
     values = []
     for case in cases:
         if case.alpha > 0:
@@ -421,8 +407,10 @@ def _line_integrals(
         if case.j > 1 or case.k > 1:
             raise ValueError("needs higher normal jets than tracked")
         integrand = _trace_integrand(
-            expansion(left_op, case.j, case.r),
-            expansion(right_op, case.k, case.l),
+            expansions[left_op],
+            _member(left_op, case.j, case.r),
+            expansions[right_op],
+            _member(right_op, case.k, case.l),
             case,
         )
         values.append(line_quad(integrand, scenario.t_bound))

@@ -186,17 +186,6 @@ def test_poly_ring_axioms():
         assert p * Poly.const(1) == p
 
 
-def test_poly_diff_product_rule():
-    rng = random.Random(5)
-    gens = [gen_h(), gen_xi(1), gen_v(2)]
-    x = gen_xi(1)
-    for _ in range(60):
-        p, q = random_poly(rng, gens), random_poly(rng, gens)
-        lhs = (p * q).diff(x)
-        rhs = p.diff(x) * q + p * q.diff(x)
-        assert lhs == rhs
-
-
 def test_poly_eval_numeric_matches_structure():
     p = Poly.gen(gen_h()) * Poly.gen(gen_xi(1), exp=2) * Fraction(3, 2)
     p = p + Poly.gen(gen_v(4)) * GaussianRational(0, 1)

@@ -7,14 +7,13 @@ import pytest
 from wres.clifford import normal_clifford, tangential_clifford
 from wres.exact import GaussianRational, Poly, gen_h
 from wres.jets import (
-    GeometryTable,
     SymbolJet,
+    composite_symbols,
     compose_symbols,
     inverse_symbols,
     jet_mul,
     leading_symbol,
     operator_symbols,
-    triple_symbols,
 )
 from wres.rational import MatrixSymbol, RationalXi
 
@@ -27,18 +26,6 @@ def full_clifford(n):
     ) + MatrixSymbol.from_clifford(
         normal_clifford(n), RationalXi.monomial(1, 1)
     )
-
-
-def test_geometry_table_values():
-    geo = GeometryTable(4)
-    h = Poly.gen(gen_h())
-    half = Fraction(1, 2)
-    assert geo.omega(4, 1, 1) == h * half
-    assert geo.omega(1, 4, 1) == h * (-half)
-    assert geo.omega(1, 2, 3) == Poly.zero()
-    assert geo.christoffel(4, 1, 1) == h * half
-    assert geo.christoffel(1, 4, 1) == h * (-half)
-    assert geo.dxn_norm_sq_on_sphere() == h
 
 
 def test_leading_symbol_is_i_clifford():
@@ -125,7 +112,7 @@ def test_second_inverse_matches_worked_formula(variant):
 
 def test_triple_composition_leading_symbols():
     n = 6
-    triple = triple_symbols(n)
+    triple = composite_symbols(n, "D3")
     norm2 = RationalXi((Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0)
     expected_top = full_clifford(n).scale(norm2 * RationalXi.const(I))
     assert triple[3].value == expected_top
@@ -143,7 +130,7 @@ def test_triple_inverse_leading_golden():
 
 def test_triple_inverse_composes_to_identity():
     n = 6
-    triple = triple_symbols(n)
+    triple = composite_symbols(n, "D3")
     inv = inverse_symbols(n, "D3")
     composed = compose_symbols(triple, inv)
     assert composed[0].value == MatrixSymbol.identity(n)

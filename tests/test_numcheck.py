@@ -1,6 +1,7 @@
 """Numeric oracle internals: quadrature, pole expansions, dense fiber
 operators, and the exact-vs-numeric crosscheck rows."""
 
+import ast
 import math
 import random
 from dataclasses import replace
@@ -11,12 +12,14 @@ import pytest
 
 from wres.boundary import CaseTuple, boundary_phi
 from wres.exact import GaussianRational, Poly, gen_omega
+from wres import numcheck
 from wres.numcheck import (
     _POLE_ORDER,
     NumericFiber,
     NumericScenario,
     PoleExpansion,
     _case_coefficient,
+    _member,
     _pole_coefficients,
     _trace_integrand,
     crosscheck,
@@ -166,16 +169,133 @@ def test_numeric_fiber_clifford_relations(n):
             assert np.max(np.abs(mixed)) < 1e-12
 
 
-def test_numeric_inverses_invert():
-    fiber = NumericFiber(NumericScenario.draw(4, 13))
-    first = fiber.first_inverse("Dv")
-    triple = fiber.triple_inverse()
-    eye = np.eye(fiber.dim)
-    for z in (0.3, -1.7, 2.2):
-        p = fiber.p1(z)
-        assert np.max(np.abs(first["value"][-1](z) @ p - eye)) < 1e-10
-        cube = p @ p @ p
-        assert np.max(np.abs(triple["value"][-3](z) @ cube - eye)) < 1e-10
+OPERATOR_ORDERS = {"Dv": 1, "DvStar": 1, "D3": 3}
+
+
+@pytest.mark.parametrize(
+    "n, op", [(n, op) for n in (4, 6) for op in OPERATOR_ORDERS]
+)
+def test_numeric_inverses_invert(n, op):
+    """The leading member inverts the composed top symbol, the power of
+    i c(xi) given by the operator's order."""
+    order = OPERATOR_ORDERS[op]
+    fiber = NumericFiber(NumericScenario.draw(n, 13))
+    z = np.array([0.3, -1.7, 2.2])[:, None, None]
+    top = np.linalg.matrix_power(1j * (fiber.c_tan + z * fiber.c_nor), order)
+    leading = fiber.inverse_family(op)(z)[:, 0]
+    assert np.max(np.abs(leading @ top - np.eye(fiber.dim))) < 1e-10
+    with pytest.raises(ValueError):
+        fiber.inverse_family("Dx")
+
+
+def _frozen_inverse_family(fiber, op):
+    """The dense inverse closures as they were before one compose-and-invert
+    path replaced them, kept verbatim as the reference for that path."""
+
+    def p1(z):
+        return 1j * (fiber.c_tan + z * fiber.c_nor)
+
+    def p1_dxn(z):
+        return 1j * (fiber.scenario.h / 2.0) * fiber.c_tan
+
+    def p1_dxi(z):
+        return 1j * fiber.c_nor
+
+    def p0(variant):
+        drift = fiber.drift_int if variant == "Dv" else fiber.drift_ext
+        return fiber.a_op + fiber.b_op + drift
+
+    def first_inverse(variant):
+        p0_v = p0(variant)
+
+        def q1(z):
+            return np.linalg.inv(p1(z))
+
+        def q1_dxn(z):
+            q = q1(z)
+            return -q @ p1_dxn(z) @ q
+
+        def q2(z):
+            q = q1(z)
+            return -q @ (p0_v @ q - 1j * p1_dxi(z) @ q1_dxn(z))
+
+        return {"value": {-1: q1, -2: q2}, "dxn": {-1: q1_dxn}}
+
+    def triple_inverse():
+        p0_l = p0("Dv")
+        p0_s = p0("DvStar")
+
+        def e2(z):
+            return p1(z) @ p1(z)
+
+        def e2_dxn(z):
+            d = p1_dxn(z)
+            return d @ p1(z) + p1(z) @ d
+
+        def e2_dxi(z):
+            d = p1_dxi(z)
+            return d @ p1(z) + p1(z) @ d
+
+        def e1(z):
+            return p1(z) @ p0_l + p0_s @ p1(z) - 1j * p1_dxi(z) @ p1_dxn(z)
+
+        def p3(z):
+            return e2(z) @ p1(z)
+
+        def p3_dxn(z):
+            return e2_dxn(z) @ p1(z) + e2(z) @ p1_dxn(z)
+
+        def p3_dxi(z):
+            return e2_dxi(z) @ p1(z) + e2(z) @ p1_dxi(z)
+
+        def p2(z):
+            return e2(z) @ p0_s + e1(z) @ p1(z) - 1j * e2_dxi(z) @ p1_dxn(z)
+
+        def q3(z):
+            return np.linalg.inv(p3(z))
+
+        def q3_dxn(z):
+            q = q3(z)
+            return -q @ p3_dxn(z) @ q
+
+        def q4(z):
+            q = q3(z)
+            return -q @ (p2(z) @ q - 1j * p3_dxi(z) @ q3_dxn(z))
+
+        return {"value": {-3: q3, -4: q4}, "dxn": {-3: q3_dxn}}
+
+    return triple_inverse() if op == "D3" else first_inverse(op)
+
+
+def _contour_argument(center):
+    """The stacked ring `_pole_coefficients` samples its function on."""
+    seen = []
+    _pole_coefficients(lambda z: seen.append(z) or z, center, 1)
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "n, op", [(n, op) for n in (4, 6) for op in OPERATOR_ORDERS]
+)
+def test_inverse_family_matches_frozen_closures(n, op):
+    """Every member of the composed-and-inverted family is bit for bit
+    the value the hand-written closures computed, at both poles."""
+    fiber = NumericFiber(NumericScenario.draw(n, 41))
+    family = fiber.inverse_family(op)
+    old = _frozen_inverse_family(fiber, op)
+    top = max(old["dxn"])
+    members = [
+        (0, top, old["value"][top]),
+        (1, top, old["dxn"][top]),
+        (0, top - 1, old["value"][top - 1]),
+    ]
+    for pole in (1j, -1j):
+        z = _contour_argument(pole)
+        got = family(z)
+        assert got.shape == (len(z), 3, fiber.dim, fiber.dim)
+        for jet, order, reference in members:
+            member = got[:, _member(op, jet, order)]
+            assert np.array_equal(member, reference(z)), (pole, jet, order)
 
 
 def test_alpha_case_is_numerically_zero():
@@ -215,22 +335,18 @@ def test_contracted_integrand_matches_matrix_trace(n, left, right):
     of the two evaluated pole expansions, case by case."""
     _, reports = boundary_phi(n, left, right)
     fiber = NumericFiber(NumericScenario.draw(n, 29))
-    left_family = fiber.inverse_family(left)
-    right_family = fiber.inverse_family(right)
+    lp = PoleExpansion(fiber.inverse_family(left))
+    rp = PoleExpansion(fiber.inverse_family(right))
     live = [r.tuple for r in reports if not r.structurally_zero]
     assert live
     for case in live:
-        lp = PoleExpansion(
-            left_family["value" if case.j == 0 else "dxn"][case.r]
-        )
-        rp = PoleExpansion(
-            right_family["value" if case.k == 0 else "dxn"][case.l]
-        )
-        integrand = _trace_integrand(lp, rp, case)
+        lm = _member(left, case.j, case.r)
+        rm = _member(right, case.k, case.l)
+        integrand = _trace_integrand(lp, lm, rp, rm, case)
         coeff = _case_coefficient(case)
         for x in (-7.5, -2.3, -1.0, -0.4, 0.0, 0.6, 1.9, 11.0):
             want = coeff * np.trace(
-                lp.eval_plus(x, case.k) @ rp.eval(x, case.j + 1)
+                lp.eval_plus(x, case.k)[lm] @ rp.eval(x, case.j + 1)[rm]
             )
             assert abs(integrand(x) - want) <= 1e-12 * abs(want)
 
@@ -255,16 +371,17 @@ def test_pole_order_covers_every_inverse_family(n, op):
     """The assumed principal-part length is long enough: the contour
     coefficients of the four orders beyond it vanish at both poles."""
     fiber = NumericFiber(NumericScenario.draw(n, 101))
-    for kind, functions in fiber.inverse_family(op).items():
-        for order, fn in functions.items():
-            coeffs = np.abs(
-                [
-                    _pole_coefficients(fn, pole, _POLE_ORDER + 4)
-                    for pole in (1j, -1j)
-                ]
-            )
-            tail = coeffs[:, _POLE_ORDER:].max()
-            assert tail < 1e-12 * coeffs.max(), (kind, order, tail)
+    family = fiber.inverse_family(op)
+    coeffs = np.abs(
+        [
+            _pole_coefficients(family, pole, _POLE_ORDER + 4)
+            for pole in (1j, -1j)
+        ]
+    )
+    for member in range(3):
+        member_coeffs = coeffs[:, :, member]
+        tail = member_coeffs[:, _POLE_ORDER:].max()
+        assert tail < 1e-12 * member_coeffs.max(), (member, tail)
 
 
 def test_crosscheck_flags_injected_fault():
@@ -309,3 +426,31 @@ def test_sphere_moment_mc_matches_exact_moments():
     got = sphere_moment_mc(5, (2, 2, 0, 0, 0), 400_000, seed=37)
     want = omega_area(5) / 35.0
     assert abs(got - want) / want < 0.01
+
+
+def test_oracle_imports_no_engine_code():
+    """The oracle stays independent of the engine: it takes only the case
+    types it reports on and the generator names of the exact assignment."""
+    tree = ast.parse(open(numcheck.__file__).read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported += [(module, alias.name) for alias in node.names]
+    engine = [
+        (module, name)
+        for module, name in imported
+        if module.startswith(".") or module.split(".")[0] == "wres"
+    ]
+    assert engine
+    allowed = [
+        (module, name)
+        for module, name in engine
+        if module in (".boundary", "wres.boundary")
+        and name in ("CaseReport", "CaseTuple")
+        or module in (".exact", "wres.exact")
+        and name.startswith("gen_")
+    ]
+    assert engine == allowed
