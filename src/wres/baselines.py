@@ -55,15 +55,11 @@ def _gr(re, im=0) -> GaussianRational:
 
 @dataclass(frozen=True)
 class Discrepancy:
-    """One engine-vs-reference mismatch, exact difference included."""
+    """One engine-vs-reference mismatch."""
 
     label: str
     computed: Poly
     expected: Poly
-
-    @property
-    def difference(self) -> Poly:
-        return self.computed - self.expected
 
 
 def boundary_reference(

@@ -137,7 +137,7 @@ def evaluate_case(
     for _ in range(case.j + 1):
         rf = rf.d_xi_n()
 
-    trace = (lf @ rf).trace()
+    trace = lf.trace_product(rf)
     line = integrate_real_line(trace)
     trace_integral = line * coeff
     contribution = sphere_integrate(trace_integral, n)

@@ -52,6 +52,7 @@ from .exact import (
     GaussianRational,
     Poly,
     format_generator,
+    format_monomial,
     gen_h,
     gen_omega,
     gen_xi,
@@ -261,8 +262,10 @@ def _validate(spec: JobSpec) -> None:
             )
     if spec.command == "case" and spec.case_tuple is None:
         raise UsageError("tuple", "the case command requires a case tuple")
-    if spec.tolerance <= 0:
-        raise UsageError("tolerance", "must be positive")
+    if not (math.isfinite(spec.tolerance) and spec.tolerance > 0):
+        raise UsageError(
+            "tolerance", f"must be finite and positive, got {spec.tolerance!r}"
+        )
     if spec.scenarios < 1:
         raise UsageError("scenarios", "must be at least 1")
     if spec.command == "crosscheck" and spec.emit == "latex":
@@ -280,22 +283,12 @@ def _poly_to_json(poly: Poly) -> dict:
     for monomial, coeff in poly.sorted_terms():
         terms.append(
             {
-                "monomial": _format_monomial(monomial),
+                "monomial": format_monomial(monomial),
                 "re": str(coeff.re),
                 "im": str(coeff.im),
             }
         )
     return {"terms": terms}
-
-
-def _format_monomial(monomial) -> str:
-    if not monomial:
-        return "1"
-    parts = []
-    for gen, exp in monomial:
-        name = format_generator(gen)
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
 
 
 def _parse_generator(text: str):
@@ -510,36 +503,19 @@ def _emit_latex(report: Report) -> str:
 # text
 
 
-def text_poly(poly: Poly) -> str:
-    if not poly.terms:
-        return "0"
-    pieces = []
-    for monomial, coeff in poly.sorted_terms():
-        if coeff.im == 0:
-            c = str(coeff.re)
-        elif coeff.re == 0:
-            c = f"{coeff.im}i"
-        else:
-            sign = "+" if coeff.im > 0 else "-"
-            c = f"({coeff.re}{sign}{abs(coeff.im)}i)"
-        mono = _format_monomial(monomial)
-        pieces.append(c if mono == "1" else f"{c}*{mono}")
-    return " + ".join(pieces)
-
-
 def _emit_text(report: Report) -> str:
     lines = [
         "dim       = {dim}".format(dim=report.meta["dim"]),
         "operators = {ops}".format(ops=",".join(report.meta["operators"])),
     ]
     for case, contribution in report.cases:
-        lines.append(f"case {case.as_tuple()}: {text_poly(contribution)}")
-    lines.append(f"total: {text_poly(report.total)}")
+        lines.append(f"case {case.as_tuple()}: {contribution!r}")
+    lines.append(f"total: {report.total!r}")
     if report.discrepancies:
         for d in report.discrepancies:
             lines.append(
-                f"DISCREPANCY {d.label}: computed {text_poly(d.computed)}"
-                f" expected {text_poly(d.expected)}"
+                f"DISCREPANCY {d.label}: computed {d.computed!r}"
+                f" expected {d.expected!r}"
             )
     else:
         lines.append("discrepancies: none")

@@ -11,11 +11,16 @@ j-th frame covector:
 
 The 4**n words c_S cbar_T, each product taken in ascending index order,
 form a basis of the endomorphisms, so an operator is stored as a sparse
-map from words to Poly.  A word is the bitmask pair (S, T): bit (j-1) of
-S set means c_j is present, of T that cbar_j is.  This is the bitmap
-representation of Dorst, Fontijne and Mann, Geometric Algebra for
+map from words to coefficients.  A word is the bitmask pair (S, T): bit
+(j-1) of S set means c_j is present, of T that cbar_j is.  This is the
+bitmap representation of Dorst, Fontijne and Mann, Geometric Algebra for
 Computer Science (2007), ch. 19: the product of two words is a sign
 times one word, and the empty word is the only one with a trace, 2**n.
+
+One word map, _WordMap, holds what does not depend on the coefficient
+ring (sums, negation, equality, the dimension check).  CliffordOp is the
+word map over Poly; rational.MatrixSymbol is the one over RationalXi,
+for symbols in the normal covariable.
 """
 
 from __future__ import annotations
@@ -65,8 +70,15 @@ def word_product(u: tuple, v: tuple) -> tuple:
     return -1 if parity & 1 else 1, (s ^ x, t ^ y)
 
 
-class CliffordOp:
-    """Sparse linear combination of Clifford words over Poly."""
+class _WordMap:
+    """Sparse map from Clifford words to nonzero coefficients.
+
+    The shared core of CliffordOp (coefficients Poly) and
+    rational.MatrixSymbol (coefficients RationalXi).  Everything here is
+    linear over constants and needs only the coefficients' own +, - and
+    is_zero; each subclass adds what its ring needs for the identity,
+    scaling and the product.
+    """
 
     __slots__ = ("n", "words")
 
@@ -74,11 +86,63 @@ class CliffordOp:
         self.n = n
         self.words = words or {}
 
-    # -- constructors ------------------------------------------------
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
 
-    @staticmethod
-    def zero(n: int) -> "CliffordOp":
-        return CliffordOp(n)
+    def _map(self, fn):
+        """Apply fn to every coefficient, dropping the ones that vanish."""
+        words = {}
+        for w, c in self.words.items():
+            d = fn(c)
+            if not d.is_zero:
+                words[w] = d
+        return type(self)(self.n, words)
+
+    # -- arithmetic --------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.words)
+        for w, c in other.words.items():
+            acc = out.get(w)
+            s = c if acc is None else acc + c
+            if s.is_zero:
+                out.pop(w, None)
+            else:
+                out[w] = s
+        return type(self)(self.n, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        # negation keeps every coefficient nonzero
+        return type(self)(self.n, {w: -c for w, c in self.words.items()})
+
+    def _check(self, other) -> None:
+        if self.n != other.n:
+            raise ValueError(f"fiber dimension mismatch: {self.n} vs {other.n}")
+
+    # -- queries -----------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.words
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.words == other.words
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, words={len(self.words)})"
+
+
+class CliffordOp(_WordMap):
+    """Sparse linear combination of Clifford words over Poly."""
+
+    __slots__ = ()
 
     @staticmethod
     def identity(n: int, coeff: Scalar = 1) -> "CliffordOp":
@@ -86,26 +150,6 @@ class CliffordOp:
         if c.is_zero:
             return CliffordOp(n)
         return CliffordOp(n, {EMPTY_WORD: c})
-
-    # -- arithmetic --------------------------------------------------
-
-    def __add__(self, other: "CliffordOp") -> "CliffordOp":
-        self._check(other)
-        out = dict(self.words)
-        for w, p in other.words.items():
-            acc = out.get(w)
-            s = p if acc is None else acc + p
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return CliffordOp(self.n, out)
-
-    def __sub__(self, other: "CliffordOp") -> "CliffordOp":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordOp":
-        return CliffordOp(self.n, {w: -p for w, p in self.words.items()})
 
     def scale(self, factor) -> "CliffordOp":
         f = Poly.of(factor)
@@ -134,21 +178,6 @@ class CliffordOp:
             self.n, {w: Poly._own(terms) for w, terms in sums.items() if terms}
         )
 
-    def _check(self, other: "CliffordOp") -> None:
-        if self.n != other.n:
-            raise ValueError(f"fiber dimension mismatch: {self.n} vs {other.n}")
-
-    # -- queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.words
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordOp):
-            return NotImplemented
-        return self.n == other.n and self.words == other.words
-
     def trace(self) -> Poly:
         """Trace on the fiber: 2**n times the coefficient of the empty word."""
         return self.words.get(EMPTY_WORD, Poly.zero()) * (1 << self.n)
@@ -156,9 +185,6 @@ class CliffordOp:
     def trace_on_sphere(self) -> Poly:
         """Trace with the cosphere relation applied to the coefficients."""
         return sphere_normal_form(self.trace(), self.n)
-
-    def __repr__(self):
-        return f"CliffordOp(n={self.n}, words={len(self.words)})"
 
 
 # ---------------------------------------------------------------------------

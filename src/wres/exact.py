@@ -251,6 +251,17 @@ def format_generator(gen: Generator) -> str:
     return f"{tag}({','.join(str(x) for x in gen[1:])})"
 
 
+def format_monomial(monomial: Monomial) -> str:
+    """Generators joined by "*", each with its exponent when it is not 1."""
+    if not monomial:
+        return "1"
+    parts = []
+    for gen, exp in monomial:
+        name = format_generator(gen)
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+    return "*".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -423,13 +434,6 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def generators(self) -> set:
-        out = set()
-        for m in self.terms:
-            for g, _ in m:
-                out.add(g)
-        return out
-
     # -- evaluation --------------------------------------------------
 
     def eval_numeric(self, assignment: Mapping[Generator, complex]) -> complex:
@@ -454,16 +458,13 @@ class Poly:
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __repr__(self):
+        """The text form `--emit text` prints: terms in sorted order."""
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = [f"{format_generator(g)}" + (f"^{e}" if e > 1 else "") for g, e in m]
-            if factors:
-                parts.append(f"{c!r}*{'*'.join(factors)}")
-            else:
-                parts.append(f"{c!r}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"{c!r}*{format_monomial(m)}" if m else f"{c!r}"
+            for m, c in self.sorted_terms()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -474,37 +475,31 @@ def sphere_normal_form(poly: Poly, n: int) -> Poly:
     """Reduce modulo sum(XI(i)^2 for 1 <= i <= n-1) == 1.
 
     The last tangential component XI(n-1) is eliminated in even powers:
-    every XI(n-1)^2 is replaced by 1 - XI(1)^2 - ... - XI(n-2)^2 until
-    no exponent of XI(n-1) exceeds 1.  The result is the canonical
-    representative, and the reduction is idempotent.
+    a term with XI(n-1)^e becomes the rest of the term times
+    XI(n-1)^(e mod 2) times (1 - XI(1)^2 - ... - XI(n-2)^2)^(e // 2).
+    One pass is enough, because that factor contains no XI(n-1), so no
+    product it forms raises an exponent of XI(n-1) back to 2.  The
+    result is the canonical representative, and the reduction is
+    idempotent: an input already in normal form is returned as is.
     """
     last = gen_xi(n - 1)
+    if all(e < 2 for m in poly.terms for g, e in m if g == last):
+        return poly
     rest = Poly.const(1)
     for i in range(1, n - 1):
         rest = rest - Poly.gen(gen_xi(i), 2)
-
-    current = poly
-    while True:
-        fixed: dict = {}
-        pending = Poly.zero()
-        changed = False
-        for m, c in current.terms.items():
-            exp = 0
-            for g, e in m:
-                if g == last:
-                    exp = e
-                    break
-            if exp < 2:
-                acc = fixed.get(m)
-                fixed[m] = c if acc is None else acc + c
-                continue
-            changed = True
-            stripped = tuple((g, e) for g, e in m if g != last)
-            carry = exp % 2
-            base = Poly({stripped: c})
-            if carry:
-                base = base * Poly.gen(last)
-            pending = pending + base * rest ** (exp // 2)
-        current = Poly({m: c for m, c in fixed.items() if not c.is_zero}) + pending
-        if not changed:
-            return current
+    powers = [Poly.const(1)]  # powers[k] = rest ** k
+    out: dict = {}
+    for m, c in poly.terms.items():
+        exp = next((e for g, e in m if g == last), 0)
+        half = exp // 2
+        kept = m
+        if half:
+            # XI(n-1) stays only for an odd exponent, and then to the first power
+            kept = tuple(
+                (g, 1) if g == last else (g, e) for g, e in m if g != last or e % 2
+            )
+        while len(powers) <= half:
+            powers.append(powers[-1] * rest)
+        _add_product_into(out, Poly._own({kept: c}), powers[half])
+    return Poly._own(out)

@@ -28,24 +28,34 @@ from .clifford import (
 )
 from .exact import Poly, gen_pi, gen_riemann, gen_s, gen_w, gen_ws
 
-SQUARE_VARIANTS = ("Dv2", "DvStar2", "DvStarDv")
+# (inner, outer) drift kinds of each operator square: the inner action
+# belongs to the right factor, the outer one to the left factor
+_DRIFT_KINDS = {
+    "Dv2": ("interior", "interior"),
+    "DvStar2": ("exterior", "exterior"),
+    "DvStarDv": ("interior", "exterior"),
+}
+SQUARE_VARIANTS = tuple(_DRIFT_KINDS)
 
 
-def _nabla_interior(n: int, j: int) -> CliffordOp:
-    """Interior product with the covariant derivative of the drift
-    along the j-th frame vector."""
-    return action_of(
-        n, [Poly.gen(gen_w(j, k)) for k in range(1, n + 1)], "interior_vector"
-    )
+def _drift_kinds(variant: str) -> tuple[str, str]:
+    kinds = _DRIFT_KINDS.get(variant)
+    if kinds is None:
+        raise ValueError(f"unknown square variant {variant!r}")
+    return kinds
 
 
-def _nabla_exterior(n: int, j: int, dual: bool) -> CliffordOp:
-    """Exterior product with the covariant derivative of the dual
-    covector along the j-th frame vector."""
-    mk = gen_w if dual else gen_ws
-    return action_of(
-        n, [Poly.gen(mk(j, k)) for k in range(1, n + 1)], "exterior_covector"
-    )
+def _drift(n: int, kind: str, dual: bool) -> CliffordOp:
+    """The drift action of the given kind, "interior" or "exterior"."""
+    return drift_interior(n) if kind == "interior" else drift_exterior(n, dual)
+
+
+def _nabla(n: int, j: int, kind: str, dual: bool) -> CliffordOp:
+    """The drift action of the given kind with the drift replaced by its
+    covariant derivative along the j-th frame vector."""
+    mk = gen_ws if kind == "exterior" and not dual else gen_w
+    action = "interior_vector" if kind == "interior" else "exterior_covector"
+    return action_of(n, [Poly.gen(mk(j, k)) for k in range(1, n + 1)], action)
 
 
 def curvature_term(n: int) -> CliffordOp:
@@ -71,62 +81,44 @@ def curvature_term(n: int) -> CliffordOp:
     return out.scale(Fraction(1, 8))
 
 
-def _drift_factors(n: int, variant: str, dual: bool) -> tuple[CliffordOp, CliffordOp]:
-    """Left and right drift actions in the quadratic term."""
-    interior, exterior = drift_interior(n), drift_exterior(n, dual)
-    if variant == "Dv2":
-        return interior, interior
-    if variant == "DvStar2":
-        return exterior, exterior
-    if variant == "DvStarDv":
-        return interior, exterior
-    raise ValueError(f"unknown square variant {variant!r}")
-
-
 def drift_square_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """-(1/4) sum_i (c_i L + R c_i)**2.
 
-    L is the drift action inside the operator, R the one brought in from
-    the left factor; they coincide for the two genuine squares.
+    L is the inner drift action of the variant, the one inside the
+    operator, and R the outer one, brought in from the left factor;
+    they coincide for the two genuine squares.
     """
-    left, right = _drift_factors(n, variant, dual)
+    inner, outer = _drift_kinds(variant)
+    left = _drift(n, inner, dual)
+    right = left if outer == inner else _drift(n, outer, dual)
     out = CliffordOp.zero(n)
     for i in range(1, n + 1):
         c_i = build_generator(n, i, "clifford")
-        inner = c_i @ left + right @ c_i
-        out = out - (inner @ inner)
+        term = c_i @ left + right @ c_i
+        out = out - (term @ term)
     return out.scale(Fraction(1, 4))
 
 
 def drift_gradient_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """(1/2) sum_j (nabla_j X c_j - c_j nabla_j Y).
 
-    X and Y are the drift actions whose derivatives appear: interior for
-    the operator square, exterior for the adjoint square, and exterior
-    against interior for the mixed product.
+    X is the outer drift action of the variant and Y the inner one:
+    interior for the operator square, exterior for the adjoint square,
+    and exterior against interior for the mixed product.
     """
+    inner, outer = _drift_kinds(variant)
     out = CliffordOp.zero(n)
     for j in range(1, n + 1):
         c_j = build_generator(n, j, "clifford")
-        if variant == "Dv2":
-            x = _nabla_interior(n, j)
-            y = x
-        elif variant == "DvStar2":
-            x = _nabla_exterior(n, j, dual)
-            y = x
-        elif variant == "DvStarDv":
-            x = _nabla_exterior(n, j, dual)
-            y = _nabla_interior(n, j)
-        else:
-            raise ValueError(f"unknown square variant {variant!r}")
+        x = _nabla(n, j, outer, dual)
+        y = x if inner == outer else _nabla(n, j, inner, dual)
         out = out + (x @ c_j - c_j @ y)
     return out.scale(Fraction(1, 2))
 
 
 def build_endomorphism(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """The endomorphism piece of the chosen Laplacian at the base point."""
-    if variant not in SQUARE_VARIANTS:
-        raise ValueError(f"unknown square variant {variant!r}")
+    _drift_kinds(variant)
     out = curvature_term(n)
     out = out - CliffordOp.identity(n, Fraction(1, 4)).scale(Poly.gen(gen_s()))
     out = out + drift_square_term(n, variant, dual)

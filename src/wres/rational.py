@@ -20,19 +20,20 @@ shifted back.  The real-line integral closes the contour upward, which is
 exact for any proper rational integrand with quadratic decay; the residue
 at +i is the xin**(a-1) coefficient of pi_plus's numerator.
 
-MatrixSymbol coefficients are reduced on the cosphere only where
-numerators are multiplied (from_clifford, identity, scale and the
-product).  Sums, negation, xin-derivatives and projections combine
-coefficients over constants, so they keep sphere normal form by
-themselves.
+MatrixSymbol is the Clifford word map of clifford._WordMap with
+RationalXi coefficients.  Its coefficients are reduced on the cosphere
+only where numerators are multiplied (from_clifford, identity, scale,
+the product and the trace of a product).  Sums, negation,
+xin-derivatives and projections combine coefficients over constants, so
+they keep sphere normal form by themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
-from .clifford import EMPTY_WORD, word_product
+from .clifford import EMPTY_WORD, _WordMap, word_product
 from .exact import (
     GaussianRational,
     Poly,
@@ -337,11 +338,6 @@ def sphere_integrate(poly: Poly, n: int) -> Poly:
 # fiber operators with rational coefficients
 
 
-
-# ---------------------------------------------------------------------------
-# fiber operators with rational coefficients
-
-
 def _on_sphere(num: Sequence[Poly], a: int, b: int, n: int) -> RationalXi:
     """num / ((xin - i)**a (xin + i)**b), reduced on the cosphere, then
     canonicalized, so pole cancellations that are only visible modulo the
@@ -349,36 +345,57 @@ def _on_sphere(num: Sequence[Poly], a: int, b: int, n: int) -> RationalXi:
     return RationalXi([sphere_normal_form(p, n) for p in num], a, b)
 
 
-class MatrixSymbol:
-    """Sparse linear combination of Clifford words over RationalXi,
-    cosphere-reduced.
+def _product_cells(pairs: Iterable, n: int) -> dict:
+    """Sum the products sign * left * right of (sign, word, left, right)
+    pairs into one canonical, cosphere-reduced RationalXi per word.
 
-    Words are those of clifford.CliffordOp.  Every numerator coefficient
-    is in sphere normal form: the constructors and the products reduce
-    what they multiply, and every other operation combines coefficients
-    over constants, which keeps that form.
+    Raw numerator products are summed per word and denominator
+    signature; each word's sums are lifted to common pole orders, added,
+    then reduced and canonicalized once.  Both steps are linear over
+    constants, so this is the canonical form of the reduced sum.  Words
+    whose sum vanishes are left out.
+    """
+    sums: dict = {}
+    for sign, w, left, right in pairs:
+        cell = sums.get(w)
+        if cell is None:
+            cell = sums[w] = {}
+        sig = (left.a + right.a, left.b + right.b)
+        acc = cell.get(sig)
+        if acc is None:
+            acc = cell[sig] = []
+        size = len(left.num) + len(right.num) - 1
+        acc.extend({} for _ in range(size - len(acc)))
+        lnum = left.num if sign > 0 else [-p for p in left.num]
+        for i, p in enumerate(lnum):
+            for j, q in enumerate(right.num):
+                _add_product_into(acc[i + j], p, q)
+    out: dict = {}
+    for w, cell in sums.items():
+        top_a = max(a for a, _ in cell)
+        top_b = max(b for _, b in cell)
+        total: list = []
+        for (a, b), acc in cell.items():
+            lifted = _lift([Poly._own(t) for t in acc], top_a - a, top_b - b)
+            total = _add_coeffs(total, lifted)
+        s = _on_sphere(total, top_a, top_b, n)
+        if not s.is_zero:
+            out[w] = s
+    return out
+
+
+class MatrixSymbol(_WordMap):
+    """The Clifford word map over RationalXi, cosphere-reduced.
+
+    Every numerator coefficient is in sphere normal form: the
+    constructors and the products reduce what they multiply, and every
+    other operation combines coefficients over constants, which keeps
+    that form.
     """
 
-    __slots__ = ("n", "words")
-
-    def __init__(self, n: int, words: dict | None = None):
-        self.n = n
-        self.words = words or {}
-
-    def _map(self, fn: Callable[[RationalXi], RationalXi]) -> "MatrixSymbol":
-        """Apply fn to every coefficient, dropping the ones that vanish."""
-        words = {}
-        for w, r in self.words.items():
-            s = fn(r)
-            if not s.is_zero:
-                words[w] = s
-        return MatrixSymbol(self.n, words)
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def zero(n: int) -> "MatrixSymbol":
-        return MatrixSymbol(n)
 
     @staticmethod
     def identity(n: int, coeff: RationalXi | None = None) -> "MatrixSymbol":
@@ -400,60 +417,6 @@ class MatrixSymbol:
 
     # -- arithmetic --------------------------------------------------
 
-    def __add__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        self._check(other)
-        out = dict(self.words)
-        for w, r in other.words.items():
-            acc = out.get(w)
-            s = r if acc is None else acc + r
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return MatrixSymbol(self.n, out)
-
-    def __sub__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        return self + (-other)
-
-    def __neg__(self) -> "MatrixSymbol":
-        return self._map(RationalXi.__neg__)
-
-    def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        self._check(other)
-        # sum raw numerator products per word and denominator signature
-        sums: dict = {}
-        for u, left in self.words.items():
-            signed = {1: left.num, -1: [-p for p in left.num]}
-            for v, right in other.words.items():
-                sign, w = word_product(u, v)
-                cell = sums.get(w)
-                if cell is None:
-                    cell = sums[w] = {}
-                sig = (left.a + right.a, left.b + right.b)
-                acc = cell.get(sig)
-                if acc is None:
-                    acc = cell[sig] = []
-                size = len(left.num) + len(right.num) - 1
-                acc.extend({} for _ in range(size - len(acc)))
-                for i, p in enumerate(signed[sign]):
-                    for j, q in enumerate(right.num):
-                        _add_product_into(acc[i + j], p, q)
-        # lift each word's sums to common pole orders, add them, then reduce
-        # and canonicalize once: both are linear over constants, so this is
-        # the canonical form of the reduced sum
-        out: dict = {}
-        for w, cell in sums.items():
-            top_a = max(a for a, _ in cell)
-            top_b = max(b for _, b in cell)
-            total: list = []
-            for (a, b), acc in cell.items():
-                lifted = _lift([Poly._own(t) for t in acc], top_a - a, top_b - b)
-                total = _add_coeffs(total, lifted)
-            s = _on_sphere(total, top_a, top_b, self.n)
-            if not s.is_zero:
-                out[w] = s
-        return MatrixSymbol(self.n, out)
-
     def scale(self, factor: RationalXi) -> "MatrixSymbol":
         return self._map(
             lambda r: _on_sphere(
@@ -461,9 +424,29 @@ class MatrixSymbol:
             )
         )
 
-    def _check(self, other: "MatrixSymbol") -> None:
-        if self.n != other.n:
-            raise ValueError(f"fiber dimension mismatch: {self.n} vs {other.n}")
+    def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
+        self._check(other)
+        pairs = (
+            (*word_product(u, v), left, right)
+            for u, left in self.words.items()
+            for v, right in other.words.items()
+        )
+        return MatrixSymbol(self.n, _product_cells(pairs, self.n))
+
+    def trace_product(self, other: "MatrixSymbol") -> RationalXi:
+        """Fiber trace of self @ other, without forming the product.
+
+        Only equal words multiply to the empty word, the one word with a
+        trace, so only those pairs are summed.
+        """
+        self._check(other)
+        pairs = []
+        for u, left in self.words.items():
+            right = other.words.get(u)
+            if right is not None:
+                pairs.append((*word_product(u, u), left, right))
+        empty = _product_cells(pairs, self.n).get(EMPTY_WORD, RationalXi.zero())
+        return empty.scale(1 << self.n)
 
     # -- calculus ----------------------------------------------------
 
@@ -475,21 +458,3 @@ class MatrixSymbol:
 
     def pi_minus(self) -> "MatrixSymbol":
         return self._map(pi_minus)
-
-    def trace(self) -> RationalXi:
-        """Trace on the fiber: 2**n times the coefficient of the empty word."""
-        return self.words.get(EMPTY_WORD, RationalXi.zero()).scale(1 << self.n)
-
-    # -- queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.words
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixSymbol):
-            return NotImplemented
-        return self.n == other.n and self.words == other.words
-
-    def __repr__(self):
-        return f"MatrixSymbol(n={self.n}, words={len(self.words)})"

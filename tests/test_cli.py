@@ -318,6 +318,24 @@ def test_job_file_errors_name_the_field(capsys, tmp_path):
     assert "usage error: field 'dim'" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_non_finite_tolerance_is_a_usage_error(capsys, tmp_path, value):
+    # NaN compares false against everything and inf passes every row, so
+    # either would turn the crosscheck verdict into a constant
+    argv = ["crosscheck", "--dim", "4", "--left", "Dv", "--right", "Dv"]
+    code, out, err = run_main(capsys, argv + ["--scenarios=1", f"--tolerance={value}"])
+    assert code == 2
+    assert "usage error: field 'tolerance'" in err
+    assert out == ""
+
+    job = tmp_path / "run.job"
+    job.write_text(f"scenarios = 1\ntolerance = {value}\n")
+    code, out, err = run_main(capsys, argv + ["--job", str(job)])
+    assert code == 2
+    assert "usage error: field 'tolerance'" in err
+    assert out == ""
+
+
 def test_load_job_file_parses_values(tmp_path):
     job = tmp_path / "run.job"
     job.write_text("# comment\n\ndim = 6\ntuple = -1,-4,0,0,0\n")

@@ -227,3 +227,30 @@ def test_word_product_is_associative(triple):
     s_right, right = word_product(u, vw)
     assert left == right
     assert s_uv * s_left == s_vw * s_right
+
+
+# ---------------------------------------------------------------------------
+# the word map shared by both fiber operator types
+
+
+@pytest.mark.parametrize("cls", [CliffordOp, MatrixSymbol])
+def test_word_map_subclasses_keep_their_type(cls):
+    zero = cls.zero(4)
+    assert type(zero) is cls and zero.is_zero
+    one = cls.identity(4)
+    for result in (one + one, one - one, -one):
+        assert type(result) is cls
+    assert one - one == zero
+    assert repr(one) == f"{cls.__name__}(n=4, words=1)"
+    with pytest.raises(ValueError, match="fiber dimension mismatch"):
+        cls.identity(4) + cls.identity(6)
+    with pytest.raises(ValueError, match="fiber dimension mismatch"):
+        cls.identity(4) @ cls.identity(6)
+
+
+def test_word_maps_of_different_rings_never_compare_equal():
+    assert CliffordOp(4) != MatrixSymbol(4)
+    assert MatrixSymbol(4) != CliffordOp(4)
+    assert not CliffordOp.identity(4) == MatrixSymbol.identity(4)
+    with pytest.raises(ValueError, match="fiber dimension mismatch"):
+        MatrixSymbol.identity(4).trace_product(MatrixSymbol.identity(6))

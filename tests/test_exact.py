@@ -14,6 +14,7 @@ from wres.exact import (
     GaussianRational,
     Poly,
     format_generator,
+    format_monomial,
     gen_h,
     gen_omega,
     gen_pi,
@@ -224,6 +225,78 @@ def test_generator_formatting():
     assert format_generator(gen_vs(1)) == "VS(1)"
 
 
+def test_monomial_formatting():
+    assert format_monomial(()) == "1"
+    assert format_monomial(((gen_h(), 1), (gen_xi(2), 3))) == "H*XI(2)^3"
+
+
+def _frozen_text_poly(poly):
+    """The CLI's former text renderer, kept verbatim as the reference."""
+
+    def _format_monomial(monomial):
+        if not monomial:
+            return "1"
+        parts = []
+        for gen, exp in monomial:
+            name = format_generator(gen)
+            parts.append(name if exp == 1 else f"{name}^{exp}")
+        return "*".join(parts)
+
+    if not poly.terms:
+        return "0"
+    pieces = []
+    for monomial, coeff in poly.sorted_terms():
+        if coeff.im == 0:
+            c = str(coeff.re)
+        elif coeff.re == 0:
+            c = f"{coeff.im}i"
+        else:
+            sign = "+" if coeff.im > 0 else "-"
+            c = f"({coeff.re}{sign}{abs(coeff.im)}i)"
+        mono = _format_monomial(monomial)
+        pieces.append(c if mono == "1" else f"{c}*{mono}")
+    return " + ".join(pieces)
+
+
+_gaussian = st.builds(
+    GaussianRational,
+    st.fractions(-5, 5, max_denominator=4),
+    st.fractions(-5, 5, max_denominator=4),
+)
+
+
+@st.composite
+def polys(draw, gens, max_exp):
+    """Sums of scalar multiples of generator products, built with Poly
+    arithmetic."""
+    p = Poly.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        term = Poly.const(draw(_gaussian))
+        for g in draw(st.lists(st.sampled_from(gens), max_size=3)):
+            term = term * Poly.gen(g, draw(st.integers(1, max_exp)))
+        p = p + term
+    return p
+
+
+_DISPLAY_GENS = [
+    gen_h(),
+    gen_s(),
+    gen_pi(),
+    gen_omega(),
+    gen_xi(1),
+    gen_xi(3),
+    gen_v(4),
+    gen_vs(1),
+    gen_w(1, 3),
+    gen_riemann(1, 2, 3, 4)[1],
+]
+
+
+@given(polys(_DISPLAY_GENS, 4))
+def test_poly_repr_is_the_frozen_text_rendering(p):
+    assert repr(p) == _frozen_text_poly(p)
+
+
 def test_riemann_symmetries():
     sign, gen = gen_riemann(2, 1, 3, 4)
     assert sign == -1 and gen == ("R", 1, 2, 3, 4)
@@ -249,6 +322,64 @@ def test_sphere_normal_form_eliminates_last_component():
     )
     assert q == expected
     assert sphere_normal_form(q, n) == q
+
+
+def _frozen_sphere_normal_form(poly, n):
+    """The former fixpoint loop, kept verbatim as the reference."""
+    last = gen_xi(n - 1)
+    rest = Poly.const(1)
+    for i in range(1, n - 1):
+        rest = rest - Poly.gen(gen_xi(i), 2)
+
+    current = poly
+    while True:
+        fixed: dict = {}
+        pending = Poly.zero()
+        changed = False
+        for m, c in current.terms.items():
+            exp = 0
+            for g, e in m:
+                if g == last:
+                    exp = e
+                    break
+            if exp < 2:
+                acc = fixed.get(m)
+                fixed[m] = c if acc is None else acc + c
+                continue
+            changed = True
+            stripped = tuple((g, e) for g, e in m if g != last)
+            carry = exp % 2
+            base = Poly({stripped: c})
+            if carry:
+                base = base * Poly.gen(last)
+            pending = pending + base * rest ** (exp // 2)
+        current = Poly({m: c for m, c in fixed.items() if not c.is_zero}) + pending
+        if not changed:
+            return current
+
+
+@st.composite
+def sphere_cases(draw):
+    n = draw(st.sampled_from([4, 6]))
+    gens = [gen_xi(i) for i in range(1, n)] + [gen_h(), gen_v(n)]
+    return n, draw(polys(gens, 6))
+
+
+@given(sphere_cases())
+def test_sphere_normal_form_matches_frozen_fixpoint(case):
+    n, p = case
+    assert sphere_normal_form(p, n) == _frozen_sphere_normal_form(p, n)
+
+
+def test_sphere_normal_form_returns_normal_input_itself():
+    for n in (4, 6):
+        last = Poly.gen(gen_xi(n - 1))
+        p = Poly.gen(gen_xi(1), exp=4) * last + Poly.gen(gen_h()) - Fraction(1, 3)
+        assert sphere_normal_form(p, n) is p
+        assert sphere_normal_form(Poly.zero(), n).is_zero
+        reduced = sphere_normal_form(p * last, n)
+        assert reduced is not p * last
+        assert sphere_normal_form(reduced, n) is reduced
 
 
 def test_sphere_normal_form_is_idempotent_on_random_input():

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wres.clifford import normal_clifford, tangential_clifford
+from wres.clifford import (
+    EMPTY_WORD,
+    normal_clifford,
+    tangential_clifford,
+    word_product,
+)
 from wres.exact import (
     GaussianRational,
     Poly,
@@ -252,8 +257,7 @@ def test_matrix_symbol_inverse_norm_round_trip():
 def test_matrix_symbol_trace_reduces_on_sphere():
     n = 4
     c_tan = MatrixSymbol.from_clifford(tangential_clifford(n))
-    sq = c_tan @ c_tan
-    assert sq.trace() == RationalXi.const(-(1 << n))
+    assert c_tan.trace_product(c_tan) == RationalXi.const(-(1 << n))
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +341,67 @@ def test_projections_and_residue_match_sympy():
             )
             two_pi_i = Poly.gen(("PI",), coeff=GaussianRational(0, 2))
             assert integrate_real_line(f) == two_pi_i * GaussianRational(re, im)
+
+
+# ---------------------------------------------------------------------------
+# the trace of a product, without the product
+
+
+def _product_trace(a, b):
+    """Fiber trace of the formed product: 2**n times its empty word."""
+    return (a @ b).words.get(EMPTY_WORD, RationalXi.zero()).scale(1 << a.n)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_trace_product_matches_the_formed_product_on_inverse_jets(n):
+    symbols = []
+    for variant in ("Dv", "DvStar", "D3"):
+        for jet in inverse_symbols(n, variant).values():
+            symbols += [jet.value] + ([jet.dxn] if jet.dxn is not None else [])
+    nonzero = 0
+    for a in symbols:
+        for b in symbols:
+            got = a.trace_product(b)
+            assert got == _product_trace(a, b)
+            nonzero += not got.is_zero
+    assert nonzero > len(symbols)
+
+
+@st.composite
+def matrix_symbols(draw, n=3):
+    """Random word maps over cosphere-normal rationals in XI(1), XI(2)."""
+    words = {}
+    for w in draw(st.lists(st.sampled_from(_SMALL_WORDS), max_size=6)):
+        coeffs = draw(st.lists(_gaussian, min_size=1, max_size=3))
+        # XI(2) is the last component at n = 3, so products reduce
+        monomials = [Poly.const(1), Poly.gen(gen_xi(1)), Poly.gen(gen_xi(2))]
+        num = [Poly.const(c) * monomials[k] for k, c in enumerate(coeffs)]
+        r = RationalXi(num, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        if not r.is_zero:
+            words[w] = r
+    return MatrixSymbol(n, words)
+
+
+_SMALL_WORDS = [(s, t) for s in range(4) for t in range(4)] + [(7, 7), (5, 2)]
+
+
+def _paired_trace(a, b):
+    """2**n sum over shared words w of sign(w, w) a_w b_w, summed with
+    RationalXi arithmetic and reduced on the cosphere at the end."""
+    total = RationalXi.zero()
+    for w, left in a.words.items():
+        if w in b.words:
+            sign, empty = word_product(w, w)
+            assert empty == EMPTY_WORD
+            total = total + left * b.words[w] * RationalXi.const(sign)
+    reduced = [sphere_normal_form(p, a.n) for p in total.num]
+    return RationalXi(reduced, total.a, total.b).scale(1 << a.n)
+
+
+@given(matrix_symbols(), matrix_symbols())
+def test_trace_product_matches_the_formed_product_on_random_symbols(a, b):
+    assert a.trace_product(b) == _product_trace(a, b) == _paired_trace(a, b)
+    assert a.trace_product(a) == _product_trace(a, a)
 
 
 # ---------------------------------------------------------------------------
