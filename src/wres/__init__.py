@@ -57,7 +57,6 @@ from .interior import (
     residue_prefactor,
 )
 from .jets import (
-    GeometryTable,
     SymbolJet,
     composite_symbols,
     compose_symbols,

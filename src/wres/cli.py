@@ -25,6 +25,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .baselines import (
@@ -103,26 +104,7 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# thread cap
-
-
-def thread_cap(scenarios: int) -> int:
-    """Worker count for scenario sweeps, capped by WRES_THREADS."""
-    raw = os.environ.get("WRES_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise UsageError("WRES_THREADS", f"not an integer: {raw!r}")
-        if cap < 1:
-            raise UsageError("WRES_THREADS", "must be a positive integer")
-    return max(1, min(cap, scenarios))
-
-
-# ---------------------------------------------------------------------------
-# job files
+# settings: flags and job files
 
 
 def load_job_file(path: str) -> dict:
@@ -146,22 +128,21 @@ def load_job_file(path: str) -> dict:
     return values
 
 
-_JOB_KEYS = {
-    "dim",
-    "left",
-    "right",
-    "op",
-    "emit",
-    "dual",
-    "omega",
-    "seed",
-    "tolerance",
-    "scenarios",
-    "tuple",
-}
+def _read_int(field_name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(field_name, f"not an integer: {text!r}")
 
 
-def _parse_bool(field_name: str, text: str) -> bool:
+def _read_float(field_name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(field_name, f"not a number: {text!r}")
+
+
+def _read_bool(field_name: str, text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1"):
         return True
@@ -170,73 +151,56 @@ def _parse_bool(field_name: str, text: str) -> bool:
     raise UsageError(field_name, f"expected a boolean, got {text!r}")
 
 
-def _parse_case_tuple(text: str) -> tuple:
+def _read_text(field_name: str, text: str) -> str:
+    return text
+
+
+def _read_case_tuple(field_name: str, text: str) -> tuple | None:
+    if not text:
+        return None
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise UsageError(
-            "tuple", f"expected five comma-separated integers, got {text!r}"
+            field_name, f"expected five comma-separated integers, got {text!r}"
         )
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise UsageError("tuple", f"non-integer entry in {text!r}")
+        raise UsageError(field_name, f"non-integer entry in {text!r}")
+
+
+# Every setting, flag or job-file key, with the reader of its text.  The
+# `tuple` key fills JobSpec.case_tuple; `--independent-dual` stores the
+# text "false" under `dual`.
+_FIELDS = {
+    "dim": _read_int,
+    "left": _read_text,
+    "right": _read_text,
+    "op": _read_text,
+    "emit": _read_text,
+    "dual": _read_bool,
+    "omega": _read_text,
+    "seed": _read_int,
+    "tolerance": _read_float,
+    "scenarios": _read_int,
+    "tuple": _read_case_tuple,
+}
 
 
 def build_spec(ns: argparse.Namespace) -> JobSpec:
-    """Merge command-line flags over an optional job file, then validate."""
-    job = {}
-    if getattr(ns, "job", None):
-        job = load_job_file(ns.job)
-        for key in job:
-            if key not in _JOB_KEYS:
-                raise UsageError(key, "unknown job file key")
-
-    def pick(name: str, default):
-        flag = getattr(ns, name, None)
-        if flag is not None:
-            return flag
-        if name in job:
-            raw = job[name]
-            if isinstance(default, bool):
-                return _parse_bool(name, raw)
-            if isinstance(default, int):
-                try:
-                    return int(raw)
-                except ValueError:
-                    raise UsageError(name, f"not an integer: {raw!r}")
-            if isinstance(default, float):
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise UsageError(name, f"not a number: {raw!r}")
-            return raw
-        return default
-
-    dual = True
-    if getattr(ns, "independent_dual", False):
-        dual = False
-    elif "dual" in job:
-        dual = _parse_bool("dual", job["dual"])
-
-    case_text = getattr(ns, "tuple", None)
-    if case_text is None and "tuple" in job:
-        case_text = job["tuple"]
-    case_tuple = _parse_case_tuple(case_text) if case_text else None
-
-    spec = JobSpec(
-        command=ns.command,
-        dim=pick("dim", JobSpec.dim),
-        left=pick("left", JobSpec.left),
-        right=pick("right", JobSpec.right),
-        op=pick("op", JobSpec.op),
-        emit=pick("emit", JobSpec.emit),
-        dual=dual,
-        omega=pick("omega", JobSpec.omega),
-        seed=pick("seed", JobSpec.seed),
-        tolerance=pick("tolerance", JobSpec.tolerance),
-        scenarios=pick("scenarios", JobSpec.scenarios),
-        case_tuple=case_tuple,
-    )
+    """Read each field from its flag, or else from the job file, then validate."""
+    job = load_job_file(ns.job) if getattr(ns, "job", None) else {}
+    for key in job:
+        if key not in _FIELDS:
+            raise UsageError(key, "unknown job file key")
+    values = {}
+    for name, read in _FIELDS.items():
+        text = getattr(ns, name, None)
+        if text is None:
+            text = job.get(name)
+        if text is not None:
+            values["case_tuple" if name == "tuple" else name] = read(name, text)
+    spec = JobSpec(command=ns.command, **values)
     _validate(spec)
     return spec
 
@@ -268,10 +232,27 @@ def _validate(spec: JobSpec) -> None:
         )
     if spec.scenarios < 1:
         raise UsageError("scenarios", "must be at least 1")
-    if spec.command == "crosscheck" and spec.emit == "latex":
-        raise UsageError("emit", "crosscheck output has no latex form")
-    if spec.command == "identities" and spec.emit == "latex":
-        raise UsageError("emit", "identities output has no latex form")
+    # numpy seeds a generator only from a non-negative integer
+    if spec.command == "crosscheck" and spec.seed < 0:
+        raise UsageError("seed", f"must be non-negative, got {spec.seed}")
+    if spec.command in ("crosscheck", "identities") and spec.emit == "latex":
+        raise UsageError("emit", f"{spec.command} output has no latex form")
+
+
+# ---------------------------------------------------------------------------
+# thread cap
+
+
+def thread_cap(scenarios: int) -> int:
+    """Worker count for scenario sweeps, capped by WRES_THREADS."""
+    raw = os.environ.get("WRES_THREADS")
+    if raw is None:
+        cap = os.cpu_count() or 1
+    else:
+        cap = _read_int("WRES_THREADS", raw)
+        if cap < 1:
+            raise UsageError("WRES_THREADS", "must be a positive integer")
+    return max(1, min(cap, scenarios))
 
 
 # ---------------------------------------------------------------------------
@@ -761,19 +742,31 @@ def _run_crosscheck(spec: JobSpec) -> tuple[int, str]:
     return (1 if any_fail else 0), text
 
 
+class _Command(NamedTuple):
+    run: Callable[[JobSpec], tuple[int, str]]
+    help: str
+    flags: tuple  # besides --dim --emit --omega --independent-dual --job
+
+
+_COMMANDS = {
+    "interior": _Command(_run_interior, "interior residue density", ("op",)),
+    "boundary": _Command(_run_boundary, "boundary case table", ("left", "right")),
+    "case": _Command(_run_case, "one boundary case", ("left", "right", "tuple")),
+    "identities": _Command(_run_identities, "deterministic self checks", ("seed",)),
+    "crosscheck": _Command(
+        _run_crosscheck,
+        "exact vs numeric verdicts",
+        ("left", "right", "seed", "tolerance", "scenarios"),
+    ),
+}
+
+
 def run_command(spec: JobSpec) -> tuple[int, str]:
     """Execute a resolved job; returns (exit code, output text)."""
-    if spec.command == "interior":
-        return _run_interior(spec)
-    if spec.command == "boundary":
-        return _run_boundary(spec)
-    if spec.command == "case":
-        return _run_case(spec)
-    if spec.command == "identities":
-        return _run_identities(spec)
-    if spec.command == "crosscheck":
-        return _run_crosscheck(spec)
-    raise UsageError("command", f"unknown command {spec.command!r}")
+    command = _COMMANDS.get(spec.command)
+    if command is None:
+        raise UsageError("command", f"unknown command {spec.command!r}")
+    return command.run(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -781,50 +774,26 @@ def run_command(spec: JobSpec) -> tuple[int, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every flag stays text; build_spec reads it like a job-file value."""
     parser = argparse.ArgumentParser(
         prog="wres",
         description="exact residue calculus for statistical Hodge operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--emit", choices=_EMITS, default=None)
-        p.add_argument("--omega", choices=_OMEGAS, default=None)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in ("dim", "emit", "omega"):
+            p.add_argument(f"--{flag}")
         p.add_argument(
             "--independent-dual",
-            action="store_true",
+            dest="dual",
+            action="store_const",
+            const="false",
             help="treat the dual drift components as independent draws",
         )
-        p.add_argument("--job", default=None, help="job file of key = value lines")
-
-    p_int = sub.add_parser("interior", help="interior residue density")
-    common(p_int)
-    p_int.add_argument("--op", default=None)
-
-    p_bdy = sub.add_parser("boundary", help="boundary case table")
-    common(p_bdy)
-    p_bdy.add_argument("--left", default=None)
-    p_bdy.add_argument("--right", default=None)
-
-    p_case = sub.add_parser("case", help="one boundary case")
-    common(p_case)
-    p_case.add_argument("--left", default=None)
-    p_case.add_argument("--right", default=None)
-    p_case.add_argument("--tuple", default=None, dest="tuple")
-
-    p_id = sub.add_parser("identities", help="deterministic self checks")
-    common(p_id)
-    p_id.add_argument("--seed", type=int, default=None)
-
-    p_x = sub.add_parser("crosscheck", help="exact vs numeric verdicts")
-    common(p_x)
-    p_x.add_argument("--left", default=None)
-    p_x.add_argument("--right", default=None)
-    p_x.add_argument("--seed", type=int, default=None)
-    p_x.add_argument("--tolerance", type=float, default=None)
-    p_x.add_argument("--scenarios", type=int, default=None)
-
+        p.add_argument("--job", help="job file of key = value lines")
+        for flag in command.flags:
+            p.add_argument(f"--{flag}")
     return parser
 
 

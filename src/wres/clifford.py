@@ -218,23 +218,12 @@ def build_generator(n: int, j: int, kind: str) -> CliffordOp:
     return CliffordOp(n, words)
 
 
-_KIND_BY_ACTION = {
-    "clifford_covector": "clifford",
-    "clifford_bar": "clifford_bar",
-    "interior_vector": "interior",
-    "exterior_covector": "exterior",
-}
-
-
 def action_of(n: int, components: Sequence, kind: str) -> CliffordOp:
-    """Contract frame components with a generator family.
+    """Contract frame components with the build_generator family of kind.
 
     components has length n, or n-1 for purely tangential data (the
     normal slot is then zero).  Entries are Poly or plain scalars.
     """
-    base = _KIND_BY_ACTION.get(kind)
-    if base is None:
-        raise ValueError(f"unknown action kind {kind!r}")
     comps = list(components)
     if len(comps) == n - 1:
         comps.append(0)
@@ -245,7 +234,7 @@ def action_of(n: int, components: Sequence, kind: str) -> CliffordOp:
         p = Poly.of(comp)
         if p.is_zero:
             continue
-        out = out + build_generator(n, j, base).scale(p)
+        out = out + build_generator(n, j, kind).scale(p)
     return out
 
 
@@ -255,7 +244,7 @@ def action_of(n: int, components: Sequence, kind: str) -> CliffordOp:
 
 def tangential_clifford(n: int) -> CliffordOp:
     """Clifford action of the unit tangential covector."""
-    return action_of(n, [Poly.gen(gen_xi(i)) for i in range(1, n)], "clifford_covector")
+    return action_of(n, [Poly.gen(gen_xi(i)) for i in range(1, n)], "clifford")
 
 
 def tangential_clifford_bar(n: int) -> CliffordOp:
@@ -273,7 +262,7 @@ def normal_clifford_bar(n: int) -> CliffordOp:
 
 def drift_interior(n: int) -> CliffordOp:
     """Interior product with the drift vector field, frame components V(k)."""
-    return action_of(n, [Poly.gen(gen_v(k)) for k in range(1, n + 1)], "interior_vector")
+    return action_of(n, [Poly.gen(gen_v(k)) for k in range(1, n + 1)], "interior")
 
 
 def drift_exterior(n: int, dual: bool = True) -> CliffordOp:
@@ -284,7 +273,7 @@ def drift_exterior(n: int, dual: bool = True) -> CliffordOp:
     independent VS generators appear.
     """
     mk = gen_v if dual else gen_vs
-    return action_of(n, [Poly.gen(mk(k)) for k in range(1, n + 1)], "exterior_covector")
+    return action_of(n, [Poly.gen(mk(k)) for k in range(1, n + 1)], "exterior")
 
 
 def build_connection_ops(n: int) -> tuple[CliffordOp, CliffordOp]:

@@ -54,8 +54,7 @@ def _nabla(n: int, j: int, kind: str, dual: bool) -> CliffordOp:
     """The drift action of the given kind with the drift replaced by its
     covariant derivative along the j-th frame vector."""
     mk = gen_ws if kind == "exterior" and not dual else gen_w
-    action = "interior_vector" if kind == "interior" else "exterior_covector"
-    return action_of(n, [Poly.gen(mk(j, k)) for k in range(1, n + 1)], action)
+    return action_of(n, [Poly.gen(mk(j, k)) for k in range(1, n + 1)], kind)
 
 
 def curvature_term(n: int) -> CliffordOp:

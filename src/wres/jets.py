@@ -18,18 +18,14 @@ from fractions import Fraction
 from functools import reduce
 
 from .clifford import (
-    CliffordOp,
     build_connection_ops,
     drift_exterior,
     drift_interior,
     normal_clifford,
     tangential_clifford,
 )
-from .exact import GaussianRational, Poly, gen_h
+from .exact import GR_I, GR_MINUS_I, Poly, gen_h
 from .rational import MatrixSymbol, RationalXi
-
-_I = GaussianRational(0, 1)
-_MINUS_I = GaussianRational(0, -1)
 
 VARIANTS = ("Dv", "DvStar")
 
@@ -81,45 +77,21 @@ def jet_mul(f: SymbolJet, g: SymbolJet) -> SymbolJet:
 
 
 # ---------------------------------------------------------------------------
-# geometry at the base point
-
-
-class GeometryTable:
-    """Adapted-coordinate geometry data at the boundary base point.
-
-    The metric is a warped product near the boundary: tangential part
-    scaled by 1/h(x_n), normal part flat, h(0) = 1.  Everything the
-    symbol calculus needs is expressed through H = h'(0).
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.h = Poly.gen(gen_h())
-
-    def dxn_tangential_clifford(self) -> CliffordOp:
-        """Normal derivative of the tangential Clifford action at the base point.
-
-        The tangential frame covectors scale like sqrt(h), so the
-        derivative is H/2 times the action itself.
-        """
-        return tangential_clifford(self.n).scale(self.h * Fraction(1, 2))
-
-
-# ---------------------------------------------------------------------------
 # symbols of the two first-order operators
 
 
 def leading_symbol(n: int) -> SymbolJet:
     """Order-one symbol: i times the Clifford action of the full covector."""
-    geom = GeometryTable(n)
-    c_tan = MatrixSymbol.from_clifford(tangential_clifford(n))
+    c_tan = tangential_clifford(n)
     c_nor = MatrixSymbol.from_clifford(
         normal_clifford(n), RationalXi.monomial(1, 1)
     )
-    value = (c_tan + c_nor).scale(RationalXi.const(_I))
-    dxn = MatrixSymbol.from_clifford(geom.dxn_tangential_clifford()).scale(
-        RationalXi.const(_I)
-    )
+    value = (MatrixSymbol.from_clifford(c_tan) + c_nor).scale(RationalXi.const(GR_I))
+    # The collar metric scales the tangential part by 1/h(x_n), h(0) = 1, so
+    # the tangential frame covectors scale like sqrt(h): the normal derivative
+    # of their Clifford action is H/2 times the action, H = h'(0).
+    d_tan = c_tan.scale(Poly.gen(gen_h()) * Fraction(1, 2))
+    dxn = MatrixSymbol.from_clifford(d_tan).scale(RationalXi.const(GR_I))
     return SymbolJet(value, dxn)
 
 
@@ -161,7 +133,7 @@ def compose_symbols(
     m_l = max(left)
     m_r = max(right)
     top = jet_mul(left[m_l], right[m_r])
-    minus_i = RationalXi.const(_MINUS_I)
+    minus_i = RationalXi.const(GR_MINUS_I)
     next_value = (
         left[m_l].value @ right[m_r - 1].value
         + left[m_l - 1].value @ right[m_r].value
@@ -213,7 +185,7 @@ def invert_symbol(
     inv_factor = RationalXi.inverse_norm_power(m)
     q_value = w.scale(inv_factor)
     q_dxn = -(q_value @ p_top.dxn_or_raise() @ q_value)
-    minus_i = RationalXi.const(_MINUS_I)
+    minus_i = RationalXi.const(GR_MINUS_I)
     q_next = -(
         q_value
         @ (p_next.value @ q_value + w.d_xi_n() @ q_dxn.scale(minus_i))

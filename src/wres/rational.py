@@ -35,6 +35,8 @@ from typing import Iterable, Sequence
 
 from .clifford import EMPTY_WORD, _WordMap, word_product
 from .exact import (
+    GR_I,
+    GR_MINUS_I,
     GaussianRational,
     Poly,
     _add_product_into,
@@ -43,8 +45,6 @@ from .exact import (
     sphere_normal_form,
 )
 
-_PLUS_I = GaussianRational(0, 1)
-_MINUS_I = GaussianRational(0, -1)
 _TWO_I = GaussianRational(0, 2)
 _HALF_I = GaussianRational(0, Fraction(1, 2))
 
@@ -95,7 +95,7 @@ def _lift(num: Sequence[Poly], da: int, db: int) -> list:
     if not (da or db):
         return list(num)
     factor = [Poly.const(1)]
-    for root in (_PLUS_I,) * da + (_MINUS_I,) * db:
+    for root in (GR_I,) * da + (GR_MINUS_I,) * db:
         factor = _mul_coeffs(factor, [Poly.const(-root), Poly.const(1)])
     return _mul_coeffs(num, factor)
 
@@ -123,7 +123,7 @@ class RationalXi:
         coeffs = _strip([Poly.of(p) for p in num])
         # dividing a nonzero numerator never empties it
         orders = [a, b] if coeffs else [0, 0]
-        for k, root in enumerate((_PLUS_I, _MINUS_I)):
+        for k, root in enumerate((GR_I, GR_MINUS_I)):
             while orders[k]:
                 quot = _divide_linear(coeffs, root)
                 if quot is None:
@@ -268,8 +268,8 @@ def pi_plus(f: RationalXi) -> RationalXi:
     series = [Poly.const(_TWO_I ** -b)]
     for j in range(a - 1):
         series.append(series[-1] * (_HALF_I * Fraction(b + j, j + 1)))
-    taylor = _mul_coeffs(_taylor_shift(f.num, _PLUS_I, a), series)[:a]
-    return RationalXi(_taylor_shift(taylor, _MINUS_I, a), a, 0)
+    taylor = _mul_coeffs(_taylor_shift(f.num, GR_I, a), series)[:a]
+    return RationalXi(_taylor_shift(taylor, GR_MINUS_I, a), a, 0)
 
 
 def pi_minus(f: RationalXi) -> RationalXi:

@@ -3,12 +3,14 @@ job files, and the thread cap."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import wres
+import wres.cli as cli
 from wres.cli import (
     JobSpec,
     UsageError,
@@ -340,6 +342,95 @@ def test_load_job_file_parses_values(tmp_path):
     job = tmp_path / "run.job"
     job.write_text("# comment\n\ndim = 6\ntuple = -1,-4,0,0,0\n")
     assert load_job_file(str(job)) == {"dim": "6", "tuple": "-1,-4,0,0,0"}
+
+
+# ---------------------------------------------------------------------------
+# one reader per setting: a flag and a job-file line mean the same thing
+
+# A valid, mostly non-default value for every setting a command takes;
+# `dual = false` is the job-file form of --independent-dual.
+_COMMAND_VALUES = {
+    "interior": {"dim": "6", "op": "DvStarDv"},
+    "boundary": {"dim": "6", "left": "Dv", "right": "D3"},
+    "case": {"dim": "6", "left": "Dv", "right": "D3", "tuple": "-1,-4,0,0,0"},
+    "identities": {"dim": "6", "seed": "5"},
+    "crosscheck": {
+        "dim": "4",
+        "left": "DvStar",
+        "right": "DvStar",
+        "seed": "2",
+        "tolerance": "1e-5",
+        "scenarios": "1",
+    },
+}
+_SHARED_VALUES = {"emit": "json", "omega": "ambient", "dual": "false"}
+
+
+def _flag(name, value):
+    return "--independent-dual" if name == "dual" else f"--{name}={value}"
+
+
+def _moved_settings():
+    """Each flag of each command in the table, with all its settings."""
+    for command, entry in cli._COMMANDS.items():
+        values = {**_SHARED_VALUES, **_COMMAND_VALUES[command]}
+        names = ("dim", "emit", "omega", "dual", *entry.flags)
+        settings = {name: values[name] for name in names}
+        for name in names:
+            yield pytest.param(command, settings, name, id=f"{command}-{name}")
+
+
+@pytest.mark.parametrize("command,settings,moved", _moved_settings())
+def test_job_file_line_matches_its_flag(capsys, tmp_path, command, settings, moved):
+    flags = [_flag(name, value) for name, value in settings.items()]
+    code, out, err = run_main(capsys, [command, *flags])
+    assert code in (0, 1) and err == ""
+
+    job = tmp_path / "run.job"
+    job.write_text(f"{moved} = {settings[moved]}\n")
+    rest = [_flag(name, value) for name, value in settings.items() if name != moved]
+    assert run_main(capsys, [command, *rest, "--job", str(job)]) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("dim", "abc"),
+        ("emit", "xml"),
+        ("omega", "flat"),
+        ("scenarios", "1.5"),
+        ("tolerance", "abc"),
+        # numpy seeds a scenario only from a non-negative integer
+        ("seed", "-1"),
+    ],
+)
+def test_bad_value_is_the_same_usage_error_from_flag_or_job_file(
+    capsys, tmp_path, name, value
+):
+    base = {"dim": "4", "left": "Dv", "right": "Dv", "scenarios": "1"}
+    argv = ["crosscheck"] + [f"--{k}={v}" for k, v in base.items() if k != name]
+    code, out, from_flag = run_main(capsys, argv + [f"--{name}={value}"])
+    assert code == 2
+    assert out == ""
+    assert from_flag.startswith(f"usage error: field '{name}'")
+
+    job = tmp_path / "run.job"
+    job.write_text(f"{name} = {value}\n")
+    assert run_main(capsys, argv + ["--job", str(job)]) == (2, "", from_flag)
+
+
+def test_identities_accepts_a_negative_seed(capsys):
+    code, out, _ = run_main(capsys, ["identities", "--dim=4", "--seed=-1"])
+    assert code == 0
+    assert "FAIL" not in out
+
+
+def test_readme_lists_every_job_file_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    listed = text.split("Recognized keys:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(cli._FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_connection_op_traces(n):
 def test_action_of_accepts_tangential_component_lists():
     n = 4
     comps = [Poly.gen(gen_xi(i)) for i in range(1, n)]
-    op = action_of(n, comps, "clifford_covector")
+    op = action_of(n, comps, "clifford")
     assert op == tangential_clifford(n)
 
 
