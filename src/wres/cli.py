@@ -113,7 +113,7 @@ def load_job_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("job", f"cannot read job file: {exc}")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -279,28 +279,22 @@ def drift_exterior(n: int, dual: bool = True) -> CliffordOp:
 def build_connection_ops(n: int) -> tuple[CliffordOp, CliffordOp]:
     """The two zero-order connection operators at the base point.
 
-    Both come from contracting the connection matrix against the frame:
-    the only nonvanishing entries pair a tangential index with the
-    normal one and are +/- half the warp derivative H.  The first
-    operator carries the bar action quadratically, the second the plain
-    action; both carry one plain Clifford factor.
+    The connection matrix has +H/2 in the (n,i) slot and -H/2 in the
+    (i,n) slot for tangential i, H the warp derivative, and vanishes
+    elsewhere.  Contracting it against the frame gives
+
+        A = (H/8) sum_{i<n} c_i (cbar_n cbar_i - cbar_i cbar_n),
+        B = -(H/8) sum_{i<n} c_i (c_n c_i - c_i c_n).
+
+    Distinct generators anticommute, so each commutator is twice the
+    product, and c_i c_n c_i = -c_n c_i**2 = c_n.  Hence
+
+        A = (H/4) sum_{i<n} c_i cbar_n cbar_i,   B = -(n-1) (H/4) c_n.
     """
-    h = Poly.gen(gen_h())
-    eighth = Poly.const(Fraction(1, 8)) * h
+    quarter_h = Poly.gen(gen_h(), coeff=Fraction(1, 4))
+    cbar_n = normal_clifford_bar(n)
     a_op = CliffordOp.zero(n)
-    b_op = CliffordOp.zero(n)
     for i in range(1, n):
         c_i = build_generator(n, i, "clifford")
-        # connection matrix at the base point: the (n,i) slot holds +H/2
-        # and the (i,n) slot -H/2, everything else vanishes
-        cb = (
-            build_generator(n, n, "clifford_bar") @ build_generator(n, i, "clifford_bar")
-            - build_generator(n, i, "clifford_bar") @ build_generator(n, n, "clifford_bar")
-        )
-        cc = (
-            build_generator(n, n, "clifford") @ build_generator(n, i, "clifford")
-            - build_generator(n, i, "clifford") @ build_generator(n, n, "clifford")
-        )
-        a_op = a_op + (c_i @ cb).scale(eighth)
-        b_op = b_op - (c_i @ cc).scale(eighth)
-    return a_op, b_op
+        a_op = a_op + c_i @ cbar_n @ build_generator(n, i, "clifford_bar")
+    return a_op.scale(quarter_h), normal_clifford(n).scale(quarter_h * (1 - n))

@@ -16,7 +16,7 @@ the drift enters the quadratic and gradient terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from .clifford import (
@@ -60,24 +60,21 @@ def _nabla(n: int, j: int, kind: str, dual: bool) -> CliffordOp:
 def curvature_term(n: int) -> CliffordOp:
     """(1/8) sum R_ijkl cbar_i cbar_j c_k c_l over all index tuples.
 
-    Coefficients are stored canonically (first pair ascending, second
-    pair ascending) with the antisymmetry signs tracked, so the full
-    four-fold sum exercises every orientation of each generator.  The
-    pair products cbar_i cbar_j and c_k c_l are formed once each, so
-    every term of the sum costs a single product, and the sum runs over
-    integer signs with the factor 1/8 applied once at the end.
+    R_ijkl and both pair products cbar_i cbar_j and c_k c_l change sign
+    when a pair is swapped, so the four orientations of each term agree
+    and the sum is half the one over i < j, k < l.  The pair products
+    are formed once each, so every term costs a single product.
     """
     cb = {i: build_generator(n, i, "clifford_bar") for i in range(1, n + 1)}
     cc = {i: build_generator(n, i, "clifford") for i in range(1, n + 1)}
-    pairs = [(i, j) for i, j in product(range(1, n + 1), repeat=2) if i != j]
+    pairs = list(combinations(range(1, n + 1), 2))
     cb_pair = {(i, j): cb[i] @ cb[j] for i, j in pairs}
     cc_pair = {(k, l): cc[k] @ cc[l] for k, l in pairs}
     out = CliffordOp.zero(n)
-    for (i, j), (k, l) in product(pairs, repeat=2):
-        sign, gen = gen_riemann(i, j, k, l)
-        term = cb_pair[i, j] @ cc_pair[k, l]
-        out = out + term.scale(Poly.gen(gen, coeff=sign))
-    return out.scale(Fraction(1, 8))
+    for ij, kl in product(pairs, repeat=2):
+        term = cb_pair[ij] @ cc_pair[kl]
+        out = out + term.scale(Poly.gen(gen_riemann(*ij, *kl)[1]))
+    return out.scale(Fraction(1, 2))
 
 
 def drift_square_term(n: int, variant: str, dual: bool = True) -> CliffordOp:

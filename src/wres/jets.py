@@ -153,37 +153,26 @@ def composite_symbols(
     )
 
 
-def _norm_power(m: int) -> RationalXi:
-    """(1 + xin**2)**m as a polynomial rational."""
-    out = RationalXi.const(1)
-    norm = RationalXi([Poly.const(1), Poly.zero(), Poly.const(1)])
-    for _ in range(m):
-        out = out * norm
-    return out
-
-
 def invert_symbol(
     p_top: SymbolJet, p_next: SymbolJet, m: int
 ) -> dict[int, SymbolJet]:
     """Leading two orders of the inverse symbol.
 
     The leading symbol must square to the covector norm to the m-th
-    power times the identity (true for Clifford-linear leading symbols);
-    that gives the inverse exactly, without general matrix inversion.
-    The subleading order comes from the standard recursion, again
-    collapsed to the single normal pairing at the base point.
+    power times the identity (true for Clifford-linear leading symbols),
+    so the symbol over that power is its exact inverse, as the defining
+    identity checks.  The subleading order comes from the standard
+    recursion, again collapsed to the single normal pairing at the base
+    point.
     """
     n = p_top.value.n
     w = p_top.value
-    square = w @ w
-    expected = MatrixSymbol.identity(n, _norm_power(m))
-    if square != expected:
+    q_value = w.scale(RationalXi.inverse_norm_power(m))
+    if w @ q_value != MatrixSymbol.identity(n):
         raise ValueError(
             "leading symbol square is not the expected norm power; "
             "cannot invert by the Clifford norm trick"
         )
-    inv_factor = RationalXi.inverse_norm_power(m)
-    q_value = w.scale(inv_factor)
     q_dxn = -(q_value @ p_top.dxn_or_raise() @ q_value)
     minus_i = RationalXi.const(GR_MINUS_I)
     q_next = -(

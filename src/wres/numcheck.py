@@ -37,7 +37,7 @@ no exact-engine code enters it, so agreement still means what it meant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import factorial
 
@@ -285,11 +285,9 @@ class PoleExpansion:
         self.minus = _pole_coefficients(f, -1j, order)
 
     def _eval_side(self, coeffs, center, z, deriv):
+        factors = _derivative_factors(len(coeffs), deriv).tolist()
         total = None
-        for k, a_k in enumerate(coeffs, start=1):
-            factor = 1.0
-            for u in range(deriv):
-                factor *= -(k + u)
+        for k, (a_k, factor) in enumerate(zip(coeffs, factors), start=1):
             term = a_k * (factor / (z - center) ** (k + deriv))
             total = term if total is None else total + term
         return total
@@ -450,17 +448,7 @@ def numeric_evaluate_case(
     values = []
     for _ in range(directions):
         raw = rng.normal(size=d)
-        sampled = NumericScenario(
-            n=scenario.n,
-            seed=scenario.seed,
-            dual=scenario.dual,
-            direction=tuple(raw / np.linalg.norm(raw)),
-            h=scenario.h,
-            v=scenario.v,
-            vs=scenario.vs,
-            t_bound=scenario.t_bound,
-            omega=scenario.omega,
-        )
+        sampled = replace(scenario, direction=tuple(raw / np.linalg.norm(raw)))
         values.append(
             numeric_line_integral(case, sampled, left_op, right_op)
         )

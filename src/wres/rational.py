@@ -55,23 +55,16 @@ def _strip(num: list) -> list:
     return num
 
 
-def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> list | None:
-    """num / (xin - root) if root is a root of num, else None.
+def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> tuple[list, Poly]:
+    """(quotient, remainder) of num by (xin - root), by synthetic division.
 
-    The remainder num(root) is summed into one dict first, so a failed
-    divisibility test builds no quotient.
+    The partial sums of Horner's rule for num(root) are the quotient's
+    coefficients, and the last one is the remainder num(root).
     """
-    rem: dict = {}
-    power = GaussianRational(1)
-    for p in num:
-        _add_product_into(rem, p, Poly.const(power))
-        power = power * root
-    if rem:
-        return None
-    quot = [num[-1]]
-    for p in reversed(num[1:-1]):
-        quot.append(p + quot[-1] * root)
-    return quot[::-1]
+    partial = [Poly.zero()]
+    for p in reversed(num):
+        partial.append(p + partial[-1] * root)
+    return partial[-2:0:-1], partial[-1]
 
 
 def _mul_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
@@ -101,14 +94,13 @@ def _lift(num: Sequence[Poly], da: int, db: int) -> list:
 
 
 def _taylor_shift(num: Sequence[Poly], c: GaussianRational, size: int) -> list:
-    """Coefficients below degree size of num(xin + c), by Horner's rule."""
+    """Coefficients below degree size of num(xin + c): the remainders of
+    dividing num by (xin - c) over and over."""
     out: list = []
-    for p in reversed(num):
-        # out <- out * (xin + c) + p
-        nxt = [p] + out[: size - 1]
-        for k in range(min(len(out), size)):
-            nxt[k] = nxt[k] + out[k] * c
-        out = nxt
+    quot = num
+    while quot and len(out) < size:
+        quot, rem = _divide_linear(quot, c)
+        out.append(rem)
     return out
 
 
@@ -125,8 +117,8 @@ class RationalXi:
         orders = [a, b] if coeffs else [0, 0]
         for k, root in enumerate((GR_I, GR_MINUS_I)):
             while orders[k]:
-                quot = _divide_linear(coeffs, root)
-                if quot is None:
+                quot, rem = _divide_linear(coeffs, root)
+                if not rem.is_zero:
                     break
                 coeffs = quot
                 orders[k] -= 1

@@ -320,6 +320,15 @@ def test_job_file_errors_name_the_field(capsys, tmp_path):
     assert "usage error: field 'dim'" in err
 
 
+def test_job_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    job = tmp_path / "bad.job"
+    job.write_bytes(b"dim = 4\n\xff\xfe = 3\n")
+    code, out, err = run_main(capsys, ["boundary", "--job", str(job)])
+    assert code == 2
+    assert out == ""
+    assert "usage error: field 'job'" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
 def test_non_finite_tolerance_is_a_usage_error(capsys, tmp_path, value):
     # NaN compares false against everything and inf passes every row, so

@@ -102,6 +102,34 @@ def test_drift_traces_against_clifford(n):
     assert got == expected
 
 
+def _connection_ops_from_commutators(n):
+    """The connection operators as contractions of the connection matrix
+    with generator commutators: a frozen copy of the earlier
+    implementation."""
+    h = Poly.gen(gen_h())
+    eighth = Poly.const(Fraction(1, 8)) * h
+    a_op = CliffordOp.zero(n)
+    b_op = CliffordOp.zero(n)
+    for i in range(1, n):
+        c_i = build_generator(n, i, "clifford")
+        cb = (
+            build_generator(n, n, "clifford_bar") @ build_generator(n, i, "clifford_bar")
+            - build_generator(n, i, "clifford_bar") @ build_generator(n, n, "clifford_bar")
+        )
+        cc = (
+            build_generator(n, n, "clifford") @ build_generator(n, i, "clifford")
+            - build_generator(n, i, "clifford") @ build_generator(n, n, "clifford")
+        )
+        a_op = a_op + (c_i @ cb).scale(eighth)
+        b_op = b_op - (c_i @ cc).scale(eighth)
+    return a_op, b_op
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_connection_ops_match_the_commutator_form(n):
+    assert build_connection_ops(n) == _connection_ops_from_commutators(n)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_connection_op_traces(n):
     a_op, b_op = build_connection_ops(n)

@@ -2,11 +2,22 @@
 comparison against the frozen reference densities."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from wres.baselines import compare_total, interior_reference
-from wres.exact import Poly, gen_pi, gen_s, gen_v, gen_vs, gen_w, gen_ws
+from wres.clifford import CliffordOp, build_generator
+from wres.exact import (
+    Poly,
+    gen_pi,
+    gen_riemann,
+    gen_s,
+    gen_v,
+    gen_vs,
+    gen_w,
+    gen_ws,
+)
 from wres.interior import (
     SQUARE_VARIANTS,
     build_endomorphism,
@@ -46,6 +57,28 @@ def test_curvature_trace_vanishes(n):
     positive length is traceless, and the scalar words cancel against
     the antisymmetry of the coefficients."""
     assert curvature_term(n).trace() == Poly.zero()
+
+
+def _curvature_term_four_fold(n):
+    """The curvature term as the sum over all four orientations of every
+    index pair, with the antisymmetry signs of R tracked: a frozen copy
+    of the earlier implementation."""
+    cb = {i: build_generator(n, i, "clifford_bar") for i in range(1, n + 1)}
+    cc = {i: build_generator(n, i, "clifford") for i in range(1, n + 1)}
+    pairs = [(i, j) for i, j in product(range(1, n + 1), repeat=2) if i != j]
+    cb_pair = {(i, j): cb[i] @ cb[j] for i, j in pairs}
+    cc_pair = {(k, l): cc[k] @ cc[l] for k, l in pairs}
+    out = CliffordOp.zero(n)
+    for (i, j), (k, l) in product(pairs, repeat=2):
+        sign, gen = gen_riemann(i, j, k, l)
+        term = cb_pair[i, j] @ cc_pair[k, l]
+        out = out + term.scale(Poly.gen(gen, coeff=sign))
+    return out.scale(Fraction(1, 8))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_curvature_term_matches_the_four_fold_sum(n):
+    assert curvature_term(n) == _curvature_term_four_fold(n)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -14,8 +14,11 @@ from wres.clifford import (
     word_product,
 )
 from wres.exact import (
+    GR_I,
+    GR_MINUS_I,
     GaussianRational,
     Poly,
+    _add_product_into,
     gen_h,
     gen_omega,
     gen_xi,
@@ -25,6 +28,9 @@ from wres.jets import inverse_symbols
 from wres.rational import (
     MatrixSymbol,
     RationalXi,
+    _divide_linear,
+    _mul_coeffs,
+    _taylor_shift,
     integrate_real_line,
     pi_minus,
     pi_plus,
@@ -303,6 +309,67 @@ def test_projection_properties(f):
     assert minus.a == 0
     assert pi_plus(plus) == plus
     assert plus + minus == f
+
+
+# frozen copies of the earlier division and shift, for differential tests
+
+
+def _divide_linear_parent(num, root):
+    rem: dict = {}
+    power = GaussianRational(1)
+    for p in num:
+        _add_product_into(rem, p, Poly.const(power))
+        power = power * root
+    if rem:
+        return None
+    quot = [num[-1]]
+    for p in reversed(num[1:-1]):
+        quot.append(p + quot[-1] * root)
+    return quot[::-1]
+
+
+def _taylor_shift_parent(num, c, size):
+    out: list = []
+    for p in reversed(num):
+        nxt = [p] + out[: size - 1]
+        for k in range(min(len(out), size)):
+            nxt[k] = nxt[k] + out[k] * c
+        out = nxt
+    return out
+
+
+_roots = st.one_of(st.sampled_from([GR_I, GR_MINUS_I]), _gaussian)
+
+
+@st.composite
+def numerators(draw, root):
+    """A numerator with a nonzero leading coefficient, times a random
+    power of (xin - root) so that exact divisibility occurs too."""
+    coeffs = draw(st.lists(_gaussian, min_size=1, max_size=6))
+    coeffs.append(draw(_gaussian.filter(lambda c: not c.is_zero)))
+    num = [Poly.const(c) + Poly.gen(gen_h(), coeff=c * c) for c in coeffs]
+    for _ in range(draw(st.integers(0, 2))):
+        num = _mul_coeffs(num, [Poly.const(-root), Poly.const(1)])
+    return num
+
+
+@given(st.data(), _roots)
+def test_divide_linear_matches_the_earlier_division(data, root):
+    num = data.draw(numerators(root))
+    quot, rem = _divide_linear(num, root)
+    parent = _divide_linear_parent(num, root)
+    assert rem.is_zero == (parent is not None)
+    if parent is not None:
+        assert quot == parent
+    # num = quot * (xin - root) + rem
+    back = _mul_coeffs(quot, [Poly.const(-root), Poly.const(1)])
+    assert [back[0] + rem] + back[1:] == num
+
+
+@given(st.data(), _roots, st.integers(1, 8))
+def test_taylor_shift_matches_the_earlier_horner_loop(data, c, size):
+    num = data.draw(numerators(c))
+    assert _taylor_shift(num, c, size) == _taylor_shift_parent(num, c, size)
 
 
 def _to_sympy(sp, f, x):
