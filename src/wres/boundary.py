@@ -150,14 +150,16 @@ def boundary_phi(
     """Boundary term of the projected product of two inverse operators.
 
     Returns the exact total and the per-case breakdown.  Only the
-    operator pairs with worked reference values are accepted.
+    operator pairs with worked reference values are accepted.  A pair of
+    one operator inverts it once and reads the same symbols on both
+    sides.
     """
     if (n, left_op, right_op) not in SUPPORTED_PAIRS:
         raise ValueError(
             f"unsupported boundary pair: dimension {n}, {left_op} against {right_op}"
         )
     left = inverse_symbols(n, left_op, dual)
-    right = inverse_symbols(n, right_op, dual)
+    right = left if right_op == left_op else inverse_symbols(n, right_op, dual)
     reports = [
         evaluate_case(case, left, right, n)
         for case in enumerate_cases(n, _ORDER_OF[left_op], _ORDER_OF[right_op])

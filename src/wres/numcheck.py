@@ -17,21 +17,30 @@ Sphere integration is validated separately by Monte-Carlo moments, so
 quadrature-level agreement is not diluted by sampling noise.
 
 Each operator is the product of its first-order factors (`_FACTORS`).
-One dense `_compose` folds their symbol jets and one `_invert` takes the
-leading two orders of the inverse, so every operator's inverse family
-is one function of z that returns its three members stacked: the
-leading value, its normal derivative and the subleading value.
+One dense `_compose` folds their symbol jets and one LAPACK inverse of
+the composed top gives the leading two orders of the inverse.  A case
+reads one of three inverse symbols of each operator: the leading value,
+its normal derivative or the subleading value.
 
 Dense work is done once per scenario: its cases share one fiber and one
-pole expansion per operator.  A `PoleExpansion` samples its function
-once per pole on the stacked contour nodes, so the function must accept
-a stacked argument; the inverse families do, since `@` and
-`np.linalg.inv` act on stacks.  Because the trace is bilinear in the
+pole expansion, whose members are the distinct inverse symbols the
+operator pair reads.  Every first-order factor has the same top symbol
+and the same normal jets, so the leading value and its normal derivative
+depend only on how many factors an operator has; they are inverted once
+per factor count, and each operator adds only its own subleading value
+(`_member` finds a symbol among the members).  A `PoleExpansion` samples
+its function once per pole on the stacked contour nodes and takes the
+coefficients member by member as the members are computed, so the
+samples are never copied into one stack and only one factor count's
+leading values are held at a time.  Because the trace is bilinear in the
 pole terms, each case contracts tr(A_k B_m) of the two members it reads
 once, and the quadrature integrand is a small scalar form in powers of
-1/(x -+ i).  This is the same contour-and-quadrature computation in
-another order of summation, built from the oracle's own dense matrices:
-no exact-engine code enters it, so agreement still means what it meant.
+1/(x -+ i).  `line_quad` runs that integrand once per distinct
+quadrature node: its real and imaginary passes, and both tails, read a
+table of the values computed so far in the same call.  This is the same
+contour-and-quadrature computation in another order of summation, built
+from the oracle's own dense matrices: no exact-engine code enters it, so
+agreement still means what it meant.
 """
 
 from __future__ import annotations
@@ -191,6 +200,42 @@ class NumericFiber:
             self.a_op + self.b_op + drift,
         )
 
+    def inverse_members(self, ops: tuple):
+        """The distinct inverse symbols the operators in ops read, as one
+        function of z.
+
+        For z stacked along a leading axis the function yields stacked
+        values one at a time, in the order `_member(op, jet, order, ops)`
+        indexes: for each factor count, the leading value and its normal
+        derivative, then the subleading value of each operator with that
+        count.  A consumer that reduces each member before taking the
+        next holds one count's leading values at a time.
+        """
+        for op in ops:
+            if op not in _FACTORS:
+                raise ValueError(f"unknown operator selector {op!r}")
+
+        def members(z):
+            for group in _by_factor_count(ops).values():
+                yield from self._group_members(group, z)
+
+        return members
+
+    def _group_members(self, group: list, z):
+        """The inverse members of operators with one factor count: their
+        shared leading value and its normal derivative, then the
+        subleading value of each."""
+        q = q_dxn = None
+        for op in group:
+            jets = (self._first_order_symbol(f, z) for f in _FACTORS[op])
+            top, top_dxn, top_dxi, low = reduce(_compose, jets)
+            if q is None:
+                q = np.linalg.inv(top)
+                q_dxn = -q @ top_dxn @ q
+                yield q
+                yield q_dxn
+            yield -q @ (low @ q - 1j * top_dxi @ q_dxn)
+
     def inverse_family(self, op: str):
         """The inverse of op's composed symbol as one function of z.
 
@@ -198,15 +243,8 @@ class NumericFiber:
         along axis 1, the leading value (order -len(factors)), its normal
         derivative, and the subleading value.
         """
-        if op not in _FACTORS:
-            raise ValueError(f"unknown operator selector {op!r}")
-        factors = _FACTORS[op]
-
-        def family(z):
-            jets = (self._first_order_symbol(f, z) for f in factors)
-            return np.stack(_invert(reduce(_compose, jets)), axis=1)
-
-        return family
+        members = self.inverse_members((op,))
+        return lambda z: np.stack(list(members(z)), axis=1)
 
 
 def _compose(left: tuple, right: tuple) -> tuple:
@@ -225,19 +263,34 @@ def _compose(left: tuple, right: tuple) -> tuple:
     )
 
 
-def _invert(symbol: tuple) -> tuple:
-    """Leading value, its normal derivative and the subleading value of
-    the inverse symbol: LAPACK for the top, then the standard recursion."""
-    top, top_dxn, top_dxi, low = symbol
-    q = np.linalg.inv(top)
-    q_dxn = -q @ top_dxn @ q
-    return q, q_dxn, -q @ (low @ q - 1j * top_dxi @ q_dxn)
+def _by_factor_count(ops: tuple) -> dict:
+    """The distinct operators of ops grouped by their factor count, in
+    order of first appearance.
+
+    The leading value of an inverse and its normal derivative depend
+    only on the factor count, so a group shares them.
+    """
+    groups = {}
+    for op in dict.fromkeys(ops):
+        groups.setdefault(len(_FACTORS[op]), []).append(op)
+    return groups
 
 
-def _member(op: str, jet: int, order: int) -> int:
-    """Axis-1 index in `inverse_family(op)` of one (jet, order) symbol."""
-    top = -len(_FACTORS[op])
-    return {(0, top): 0, (1, top): 1, (0, top - 1): 2}[jet, order]
+def _member(op: str, jet: int, order: int, ops: tuple = ()) -> int:
+    """Index of op's (jet, order) symbol among the members of
+    `inverse_members(ops)`; ops defaults to op alone, the members of
+    `inverse_family(op)`."""
+    count = len(_FACTORS[op])
+    slot = {
+        (0, -count): ("leading", count),
+        (1, -count): ("leading_dxn", count),
+        (0, -count - 1): ("subleading", op),
+    }[jet, order]
+    slots = []
+    for group_count, group in _by_factor_count(ops or (op,)).items():
+        slots += [("leading", group_count), ("leading_dxn", group_count)]
+        slots += [("subleading", other) for other in group]
+    return slots.index(slot)
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +302,31 @@ def _pole_coefficients(f, center: complex, order: int) -> np.ndarray:
 
     Returns the stack [A_1 .. A_order] with f ~ sum A_k / (z - center)**k
     near the center; spectral accuracy in the node count for rational f.
-    f is called once, on all nodes stacked along a leading axis.
+    f is called once, on all nodes stacked along a leading axis.  It
+    returns one stack of values, or yields several stacks (members),
+    whose coefficients are taken one member at a time, as each arrives,
+    and stacked along axis 1.
     """
     m = _CONTOUR_NODES
     r = _CONTOUR_RADIUS
     theta = 2.0 * math.pi * np.arange(m) / m
     ring = r * np.exp(1j * theta)
-    samples = np.asarray(f(center + ring[:, None, None]))
+    samples = f(center + ring[:, None, None])
     powers = ring[None, :] ** np.arange(1, order + 1)[:, None]
+    if isinstance(samples, np.ndarray):
+        return _contour_sum(powers, samples)
+    # map lets go of each member once it is reduced, before the next one
+    # is computed; a loop variable would keep it alive meanwhile.
+    reduced = map(lambda member: _contour_sum(powers, member), samples)
+    return np.stack(list(reduced), axis=1)
+
+
+def _contour_sum(powers: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The trapezoid sums of samples, shape (nodes, *s), against each row
+    of powers, shape (order, nodes): shape (order, *s)."""
+    m = len(samples)
     coeffs = powers @ samples.reshape(m, -1) / m
-    return coeffs.reshape((order,) + samples.shape[1:])
+    return coeffs.reshape((len(powers),) + samples.shape[1:])
 
 
 def _derivative_factors(order: int, deriv: int) -> np.ndarray:
@@ -275,9 +343,11 @@ class PoleExpansion:
 
     f is sampled once per pole on the whole contour: it receives z of
     shape (nodes, 1, 1) and must return its values stacked along the
-    leading axis, shape (nodes, *s).  The fiber's inverse symbols do so
-    because `@` and `np.linalg.inv` act on stacks; a scalar f does so by
-    broadcasting, and its values come back with shape s = (1, 1).
+    leading axis, shape (nodes, *s), or yield several such stacks, whose
+    coefficients are stacked along axis 1.  The fiber's inverse members
+    are yielded so, because `@` and `np.linalg.inv` act on stacks; a
+    scalar f stacks by broadcasting, and its values come back with shape
+    s = (1, 1).
     """
 
     def __init__(self, f, order: int = _POLE_ORDER):
@@ -350,23 +420,33 @@ def line_quad(g, t_bound: float) -> complex:
 
     The central interval is adaptive quadrature; each tail is mapped to
     (0, 1/T] by inversion and integrated the same way, so the result is
-    a genuine estimate of the full improper integral.
+    a genuine estimate of the full improper integral.  Real and
+    imaginary parts are separate `quad` runs, which bisect alike and so
+    ask for largely the same nodes.  All six runs share one table, local
+    to the call, from a node x on the real line to g(x), so g runs once
+    per distinct node; a tail looks up g(s / t) under its node s / t.
     """
+    values = {}
+
+    def at(x):
+        value = values.get(x)
+        if value is None:
+            value = values[x] = g(x)
+        return value
 
     def part(fn, a, b):
         return quad(fn, a, b, limit=200, epsabs=1e-11, epsrel=1e-11)[0]
 
-    total = part(lambda x: g(x).real, -t_bound, t_bound) + 1j * part(
-        lambda x: g(x).imag, -t_bound, t_bound
-    )
+    def complex_part(fn, a, b):
+        return part(lambda x: fn(x).real, a, b) + 1j * part(
+            lambda x: fn(x).imag, a, b
+        )
+
+    total = complex_part(at, -t_bound, t_bound)
     upper = 1.0 / t_bound
     for sign in (1.0, -1.0):
-
-        def tail(t, s=sign):
-            return g(s / t) / (t * t)
-
-        total += part(lambda t: tail(t).real, 0.0, upper) + 1j * part(
-            lambda t: tail(t).imag, 0.0, upper
+        total += complex_part(
+            lambda t, s=sign: at(s / t) / (t * t), 0.0, upper
         )
     return total
 
@@ -386,17 +466,14 @@ def _line_integrals(
 ) -> list:
     """Quadrature values of several cases at one scenario.
 
-    The cases share one fiber and one pole expansion per operator.  Each
-    expansion holds the three members of the operator's inverse family
-    (leading value, its normal derivative, subleading value) stacked
-    along axis 1, all from one sample of the family per pole; a case
-    reads the member its jet and order select.
+    The cases share one fiber and one pole expansion.  Its members are
+    the distinct inverse symbols of the pair (`inverse_members`), all
+    from one sample per pole; a case reads the member its operator, jet
+    and order select.
     """
     fiber = NumericFiber(scenario)
-    expansions = {
-        op: PoleExpansion(fiber.inverse_family(op))
-        for op in dict.fromkeys((left_op, right_op))
-    }
+    ops = (left_op, right_op)
+    expansion = PoleExpansion(fiber.inverse_members(ops))
     values = []
     for case in cases:
         if case.alpha > 0:
@@ -405,10 +482,10 @@ def _line_integrals(
         if case.j > 1 or case.k > 1:
             raise ValueError("needs higher normal jets than tracked")
         integrand = _trace_integrand(
-            expansions[left_op],
-            _member(left_op, case.j, case.r),
-            expansions[right_op],
-            _member(right_op, case.k, case.l),
+            expansion,
+            _member(left_op, case.j, case.r, ops),
+            expansion,
+            _member(right_op, case.k, case.l, ops),
             case,
         )
         values.append(line_quad(integrand, scenario.t_bound))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wres import boundary
 from wres.baselines import boundary_reference, compare_cases, compare_total
 from wres.boundary import (
     SUPPORTED_PAIRS,
@@ -130,6 +131,43 @@ def test_dim4_contributions_have_no_direction_dependence(left_op, right_op):
         for mono in report.trace_integral.terms:
             for gen, _ in mono:
                 assert gen[0] in ("XI", "H", "V", "VS", "PI")
+
+
+@pytest.mark.parametrize(
+    "left_op, right_op, dual, calls",
+    [
+        ("Dv", "Dv", True, 1),
+        ("Dv", "Dv", False, 1),
+        ("DvStar", "DvStar", True, 1),
+        ("Dv", "DvStar", True, 2),
+    ],
+)
+def test_boundary_phi_inverts_each_operator_once(
+    monkeypatch, left_op, right_op, dual, calls
+):
+    """A pair of one operator reads one inversion on both sides, and the
+    table is the one two separate inversions give."""
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return inverse_symbols(*args)
+
+    monkeypatch.setattr(boundary, "inverse_symbols", counting)
+    total, reports = boundary_phi(4, left_op, right_op, dual=dual)
+    assert len(seen) == calls
+
+    left = inverse_symbols(4, left_op, dual)
+    right = inverse_symbols(4, right_op, dual)
+    want = [
+        evaluate_case(case, left, right, 4)
+        for case in enumerate_cases(4, 1, 1)
+    ]
+    assert reports == want
+    want_total = Poly.zero()
+    for report in want:
+        want_total = want_total + report.contribution
+    assert total == want_total
 
 
 def test_supported_pairs_are_frozen():

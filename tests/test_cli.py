@@ -496,6 +496,39 @@ def test_bad_thread_cap_is_a_usage_error(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# oracle output bytes
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# Captured stdout of crosscheck commands, with their exit codes.  The
+# oracle's floats print with every digit, so a change in its order of
+# arithmetic shows here even when it stays inside any tolerance.
+ORACLE_CAPTURES = [
+    ("crosscheck-4-Dv-DvStar-scenarios4-seed0.json", 0, "4 Dv DvStar 4 0"),
+    ("crosscheck-6-Dv-D3-scenarios1-seed3.json", 0, "6 Dv D3 1 3"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+@pytest.mark.parametrize("name, code, settings", ORACLE_CAPTURES)
+def test_crosscheck_output_is_byte_identical_to_capture(
+    capsys, monkeypatch, threads, name, code, settings
+):
+    if threads is None:
+        monkeypatch.delenv("WRES_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("WRES_THREADS", threads)
+    dim, left, right, scenarios, seed = settings.split()
+    argv = ["crosscheck", "--dim", dim, "--left", left, "--right", right]
+    argv += ["--scenarios", scenarios, "--seed", seed, "--emit", "json"]
+    got_code, out, _ = run_main(capsys, argv)
+    with open(os.path.join(DATA, name), "rb") as handle:
+        want = handle.read()
+    assert got_code == code
+    assert out.encode("utf-8") == want
+
+
+# ---------------------------------------------------------------------------
 # run_command as a library entry
 
 

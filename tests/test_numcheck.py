@@ -6,9 +6,11 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from wres.boundary import CaseTuple, boundary_phi
 from wres.exact import GaussianRational, Poly, gen_omega
@@ -81,6 +83,78 @@ def test_line_quad_reference_integrals():
     assert abs(got - math.pi) < 1e-10
     got = line_quad(lambda x: 1.0 / (1.0 + x * x) ** 2, 40.0)
     assert abs(got - math.pi / 2.0) < 1e-10
+
+
+def _frozen_line_quad(g, t_bound):
+    """`line_quad` as it was before its node table, kept verbatim as the
+    reference for it."""
+
+    def part(fn, a, b):
+        return quad(fn, a, b, limit=200, epsabs=1e-11, epsrel=1e-11)[0]
+
+    total = part(lambda x: g(x).real, -t_bound, t_bound) + 1j * part(
+        lambda x: g(x).imag, -t_bound, t_bound
+    )
+    upper = 1.0 / t_bound
+    for sign in (1.0, -1.0):
+
+        def tail(t, s=sign):
+            return g(s / t) / (t * t)
+
+        total += part(lambda t: tail(t).real, 0.0, upper) + 1j * part(
+            lambda t: tail(t).imag, 0.0, upper
+        )
+    return total
+
+
+def _crosscheck_integrands(n, left, right, seed):
+    """The quadrature integrands of every live case of one scenario."""
+    _, reports = boundary_phi(n, left, right)
+    fiber = NumericFiber(NumericScenario.draw(n, seed))
+    ops = (left, right)
+    expansion = PoleExpansion(fiber.inverse_members(ops))
+    return [
+        _trace_integrand(
+            expansion,
+            _member(left, r.tuple.j, r.tuple.r, ops),
+            expansion,
+            _member(right, r.tuple.k, r.tuple.l, ops),
+            r.tuple,
+        )
+        for r in reports
+        if not r.structurally_zero
+    ]
+
+
+LINE_QUAD_INTEGRANDS = {
+    "reference": lambda: [
+        lambda x: 1.0 / (1.0 + x * x),
+        lambda x: 1.0 / (1.0 + x * x) ** 2,
+    ],
+    "n4-Dv-DvStar": lambda: _crosscheck_integrands(4, "Dv", "DvStar", 8),
+    "n6-Dv-D3": lambda: _crosscheck_integrands(6, "Dv", "D3", 3),
+}
+
+
+@pytest.mark.parametrize("integrands", list(LINE_QUAD_INTEGRANDS))
+def test_line_quad_matches_frozen_copy(integrands):
+    """The node table changes no bit of the result."""
+    for g in LINE_QUAD_INTEGRANDS[integrands]():
+        assert line_quad(g, 40.0) == _frozen_line_quad(g, 40.0)
+
+
+@pytest.mark.parametrize("integrands", list(LINE_QUAD_INTEGRANDS))
+def test_line_quad_runs_g_once_per_distinct_node(integrands):
+    """g runs once on each node the six quadratures ask for, and on no
+    other node."""
+    for g in LINE_QUAD_INTEGRANDS[integrands]():
+        calls = []
+        frozen_calls = []
+        line_quad(lambda x: calls.append(x) or g(x), 40.0)
+        _frozen_line_quad(lambda x: frozen_calls.append(x) or g(x), 40.0)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(frozen_calls)
+        assert len(calls) < len(frozen_calls)
 
 
 def random_proper_rational(rng):
@@ -296,6 +370,80 @@ def test_inverse_family_matches_frozen_closures(n, op):
         for jet, order, reference in members:
             member = got[:, _member(op, jet, order)]
             assert np.array_equal(member, reference(z)), (pole, jet, order)
+
+
+def _frozen_stacked_family(fiber, op):
+    """`inverse_family(op)` as it was before the per-scenario members,
+    kept verbatim (with its `_invert`) as the reference for them."""
+
+    def _invert(symbol):
+        top, top_dxn, top_dxi, low = symbol
+        q = np.linalg.inv(top)
+        q_dxn = -q @ top_dxn @ q
+        return q, q_dxn, -q @ (low @ q - 1j * top_dxi @ q_dxn)
+
+    factors = numcheck._FACTORS[op]
+
+    def family(z):
+        jets = (fiber._first_order_symbol(f, z) for f in factors)
+        return np.stack(_invert(reduce(numcheck._compose, jets)), axis=1)
+
+    return family
+
+
+SHARED_PAIRS = [
+    (4, "Dv", "DvStar", True, 4),
+    (4, "Dv", "Dv", False, 3),
+    (6, "Dv", "D3", True, 6),
+]
+
+
+@pytest.mark.parametrize("n, left, right, dual, count", SHARED_PAIRS)
+def test_shared_members_match_frozen_per_operator_families(
+    n, left, right, dual, count
+):
+    """Each member of a pair's shared family is bit for bit the symbol
+    the frozen per-operator closures compute, at both poles, and the
+    family holds each distinct symbol once."""
+    fiber = NumericFiber(NumericScenario.draw(n, 41, dual=dual))
+    ops = (left, right)
+    members = fiber.inverse_members(ops)
+    for pole in (1j, -1j):
+        z = _contour_argument(pole)
+        got = list(members(z))
+        assert len(got) == count
+        for op in ops:
+            old = _frozen_inverse_family(fiber, op)
+            top = max(old["dxn"])
+            for jet, order, reference in [
+                (0, top, old["value"][top]),
+                (1, top, old["dxn"][top]),
+                (0, top - 1, old["value"][top - 1]),
+            ]:
+                member = got[_member(op, jet, order, ops)]
+                assert np.array_equal(member, reference(z)), (op, jet, order)
+
+
+@pytest.mark.parametrize("n, left, right, dual, count", SHARED_PAIRS)
+def test_shared_expansion_matches_frozen_per_operator_expansions(
+    n, left, right, dual, count
+):
+    """Coefficients taken member by member equal, bit for bit, those the
+    frozen stacked family of each operator gives."""
+    fiber = NumericFiber(NumericScenario.draw(n, 43, dual=dual))
+    ops = (left, right)
+    shared = PoleExpansion(fiber.inverse_members(ops))
+    assert shared.plus.shape[1] == count
+    for op in ops:
+        top = -len(numcheck._FACTORS[op])
+        alone = PoleExpansion(_frozen_stacked_family(fiber, op))
+        symbols = [(0, top), (1, top), (0, top - 1)]
+        for index, (jet, order) in enumerate(symbols):
+            member = _member(op, jet, order, ops)
+            assert np.array_equal(shared.plus[:, member], alone.plus[:, index])
+            assert np.array_equal(
+                shared.minus[:, member], alone.minus[:, index]
+            )
 
 
 def test_alpha_case_is_numerically_zero():
