@@ -31,7 +31,6 @@ from .clifford import (
     normal_clifford,
     normal_clifford_bar,
     tangential_clifford,
-    tangential_clifford_bar,
 )
 from .exact import (
     GaussianRational,
@@ -57,7 +56,7 @@ from .interior import (
     residue_prefactor,
 )
 from .jets import (
-    SymbolJet,
+    Symbol,
     composite_symbols,
     compose_symbols,
     inverse_symbols,

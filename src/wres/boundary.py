@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import GR_MINUS_I, GaussianRational, Poly
-from .jets import _FACTORS, SymbolJet, inverse_symbols
+from .jets import Symbol, inverse_symbols
 from .rational import integrate_real_line, sphere_integrate
 
 SUPPORTED_PAIRS = {
@@ -33,8 +33,6 @@ SUPPORTED_PAIRS = {
     (4, "Dv", "DvStar"),
     (6, "Dv", "D3"),
 }
-
-_ORDER_OF = {op: len(factors) for op, factors in _FACTORS.items()}
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,7 @@ def case_coefficient(case: CaseTuple) -> GaussianRational:
 
 
 def evaluate_case(
-    case: CaseTuple,
-    left: dict[int, SymbolJet],
-    right: dict[int, SymbolJet],
-    n: int,
+    case: CaseTuple, left: Symbol, right: Symbol, n: int
 ) -> CaseReport:
     """Exact contribution of one case tuple.
 
@@ -121,19 +116,11 @@ def evaluate_case(
     coeff = case_coefficient(case)
     if case.alpha > 0:
         return CaseReport(case, coeff, Poly.zero(), Poly.zero())
-    if case.j > 1 or case.k > 1:
-        raise ValueError(
-            f"case {case.as_tuple()} needs higher normal jets than tracked"
-        )
-    left_jet = left[case.r]
-    right_jet = right[case.l]
-
-    lf = left_jet.value if case.j == 0 else left_jet.dxn_or_raise()
+    lf = left.read(case.r, case.j)
+    rf = right.read(case.l, case.k)
     lf = lf.pi_plus()
     for _ in range(case.k):
         lf = lf.d_xi_n()
-
-    rf = right_jet.value if case.k == 0 else right_jet.dxn_or_raise()
     for _ in range(case.j + 1):
         rf = rf.d_xi_n()
 
@@ -144,15 +131,14 @@ def evaluate_case(
     return CaseReport(case, coeff, trace_integral, contribution)
 
 
-def boundary_phi(
+def inverse_pair(
     n: int, left_op: str, right_op: str, dual: bool = True
-) -> tuple[Poly, list[CaseReport]]:
-    """Boundary term of the projected product of two inverse operators.
+) -> tuple[Symbol, Symbol]:
+    """Inverse symbols of a supported boundary pair, left then right.
 
-    Returns the exact total and the per-case breakdown.  Only the
-    operator pairs with worked reference values are accepted.  A pair of
-    one operator inverts it once and reads the same symbols on both
-    sides.
+    Only the operator pairs with worked reference values are accepted.
+    A pair of one operator inverts it once and reads the same symbols on
+    both sides.
     """
     if (n, left_op, right_op) not in SUPPORTED_PAIRS:
         raise ValueError(
@@ -160,9 +146,21 @@ def boundary_phi(
         )
     left = inverse_symbols(n, left_op, dual)
     right = left if right_op == left_op else inverse_symbols(n, right_op, dual)
+    return left, right
+
+
+def boundary_phi(
+    n: int, left_op: str, right_op: str, dual: bool = True
+) -> tuple[Poly, list[CaseReport]]:
+    """Boundary term of the projected product of two inverse operators.
+
+    Returns the exact total and the per-case breakdown, for the pairs
+    inverse_pair accepts.
+    """
+    left, right = inverse_pair(n, left_op, right_op, dual)
     reports = [
         evaluate_case(case, left, right, n)
-        for case in enumerate_cases(n, _ORDER_OF[left_op], _ORDER_OF[right_op])
+        for case in enumerate_cases(n, -left.order, -right.order)
     ]
     total = Poly.zero()
     for report in reports:

@@ -36,12 +36,12 @@ from .baselines import (
     interior_reference,
 )
 from .boundary import (
-    _ORDER_OF,
     SUPPORTED_PAIRS,
     CaseTuple,
     boundary_phi,
     enumerate_cases,
     evaluate_case,
+    inverse_pair,
 )
 from .clifford import (
     CliffordOp,
@@ -59,7 +59,6 @@ from .exact import (
     gen_xi,
 )
 from .interior import SQUARE_VARIANTS, interior_wres
-from .jets import inverse_symbols
 from .numcheck import NumericScenario, crosscheck, line_quad
 from .rational import RationalXi, pi_minus, pi_plus, sphere_integrate
 
@@ -555,7 +554,10 @@ def _run_boundary(spec: JobSpec) -> tuple[int, str]:
 
 
 def _run_case(spec: JobSpec) -> tuple[int, str]:
-    allowed = enumerate_cases(spec.dim, _ORDER_OF[spec.left], _ORDER_OF[spec.right])
+    left, right = inverse_pair(
+        spec.dim, spec.left, spec.right, dual=spec.dual
+    )
+    allowed = enumerate_cases(spec.dim, -left.order, -right.order)
     case = CaseTuple(*spec.case_tuple)
     if case not in allowed:
         raise UsageError(
@@ -563,8 +565,6 @@ def _run_case(spec: JobSpec) -> tuple[int, str]:
             f"{case.as_tuple()} is not a valid case for this pair; "
             f"valid tuples: {[c.as_tuple() for c in allowed]}",
         )
-    left = inverse_symbols(spec.dim, spec.left, dual=spec.dual)
-    right = inverse_symbols(spec.dim, spec.right, dual=spec.dual)
     result = evaluate_case(case, left, right, spec.dim)
     report = Report(
         meta=_meta(spec, [spec.left, spec.right]),

@@ -247,10 +247,6 @@ def tangential_clifford(n: int) -> CliffordOp:
     return action_of(n, [Poly.gen(gen_xi(i)) for i in range(1, n)], "clifford")
 
 
-def tangential_clifford_bar(n: int) -> CliffordOp:
-    return action_of(n, [Poly.gen(gen_xi(i)) for i in range(1, n)], "clifford_bar")
-
-
 def normal_clifford(n: int) -> CliffordOp:
     """Clifford action of the unit inward conormal."""
     return build_generator(n, n, "clifford")

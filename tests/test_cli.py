@@ -11,6 +11,7 @@ import pytest
 
 import wres
 import wres.cli as cli
+import wres.jets as jets
 from wres.cli import (
     JobSpec,
     UsageError,
@@ -185,6 +186,29 @@ def test_case_latex_golden(capsys):
         lines[1]
         == "\\left[\\frac{9}{2}\\pi h'(0)+2\\pi\\langle v,dx_n\\rangle\\right]\\Omega"
     )
+
+
+@pytest.mark.parametrize(
+    "left, right, calls", [("Dv", "Dv", 1), ("DvStar", "DvStar", 1), ("Dv", "DvStar", 2)]
+)
+def test_case_inverts_each_operator_once(capsys, monkeypatch, left, right, calls):
+    """The case command inverts a pair of one operator once, whichever
+    module's binding of inverse_symbols it reaches the inversion through."""
+    seen = []
+    for name, module in list(sys.modules.items()):
+        original = getattr(module, "inverse_symbols", None)
+        if name.startswith("wres") and callable(original):
+
+            def counting(*args, _original=original, **kwargs):
+                seen.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "inverse_symbols", counting)
+    argv = ["case", "--dim", "4", "--left", left, "--right", right]
+    code, out, _ = run_main(capsys, argv + ["--tuple=-1,-1,0,1,0"])
+    assert code == 0
+    assert "case (-1, -1, 0, 1, 0)" in out
+    assert len(seen) == calls
 
 
 def test_latex_zero_and_structural_case(capsys):
@@ -441,6 +465,14 @@ def test_readme_lists_every_job_file_key():
     listed = text.split("Recognized keys:", 1)[1].split(".", 1)[0]
     assert re.findall(r"`([^`]+)`", listed) == list(cli._FIELDS)
 
+
+
+def test_readme_spells_the_factors_of_d3():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = " ".join(handle.read().split())
+    product = " ".join(f.replace("Star", "*") for f in jets._FACTORS["D3"])
+    assert f"`D3` is the third-order product `{product}`" in text
 
 # ---------------------------------------------------------------------------
 # thread cap

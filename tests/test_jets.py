@@ -7,12 +7,11 @@ import pytest
 from wres.clifford import normal_clifford, tangential_clifford
 from wres.exact import GaussianRational, Poly, gen_h
 from wres.jets import (
-    SymbolJet,
+    Symbol,
     composite_symbols,
     compose_symbols,
     inverse_symbols,
-    jet_mul,
-    leading_symbol,
+    invert_symbol,
     operator_symbols,
 )
 from wres.rational import MatrixSymbol, RationalXi
@@ -30,23 +29,23 @@ def full_clifford(n):
 
 def test_leading_symbol_is_i_clifford():
     n = 4
-    jet = leading_symbol(n)
+    jet = operator_symbols(n, "Dv")
     expected = full_clifford(n).scale(RationalXi.const(I))
-    assert jet.value == expected
+    assert jet.top == expected
     # its normal derivative only sees the warp of the tangential part
     half_h = RationalXi.const(Poly.gen(gen_h(), coeff=Fraction(1, 2)) * I)
     expected_dxn = MatrixSymbol.from_clifford(tangential_clifford(n)).scale(
         half_h
     )
-    assert jet.dxn == expected_dxn
+    assert jet.top_dxn == expected_dxn
 
 
 def test_jet_multiplication_leibniz():
     n = 4
-    jet = leading_symbol(n)
-    prod = jet_mul(jet, jet)
-    lhs = prod.dxn
-    rhs = jet.dxn @ jet.value + jet.value @ jet.dxn
+    jet = operator_symbols(n, "Dv")
+    prod = compose_symbols(jet, jet)
+    lhs = prod.top_dxn
+    rhs = jet.top_dxn @ jet.top + jet.top @ jet.top_dxn
     assert lhs == rhs
 
 
@@ -54,7 +53,35 @@ def test_jet_without_derivative_raises_loudly():
     n = 4
     sym = operator_symbols(n, "Dv")
     with pytest.raises(ValueError):
-        sym[0].dxn_or_raise()
+        sym.read(0, 1)
+
+
+@pytest.mark.parametrize("n, variant", [(4, "Dv"), (6, "D3")])
+def test_read_returns_the_carried_parts(n, variant):
+    inv = inverse_symbols(n, variant)
+    m = inv.order
+    assert inv.read(m, 0) is inv.top
+    assert inv.read(m, 1) is inv.top_dxn
+    assert inv.read(m - 1, 0) is inv.low
+
+
+@pytest.mark.parametrize("n, variant", [(4, "Dv"), (6, "D3")])
+def test_read_rejects_every_part_not_carried(n, variant):
+    inv = inverse_symbols(n, variant)
+    m = inv.order
+    refused = [(m - 1, 1), (m, 2), (m - 1, 2)]
+    refused += [(order, d) for order in (m + 1, m - 2, 0) for d in (0, 1)]
+    for order, derivatives in refused:
+        with pytest.raises(ValueError):
+            inv.read(order, derivatives)
+
+
+def test_symbol_is_an_immutable_record():
+    sym = operator_symbols(4, "Dv")
+    with pytest.raises(AttributeError):
+        sym.top = sym.low
+    with pytest.raises(TypeError):
+        sym[-1]
 
 
 @pytest.mark.parametrize("variant", ["Dv", "DvStar"])
@@ -63,8 +90,8 @@ def test_compose_operator_with_inverse_is_identity(variant):
     op = operator_symbols(n, variant)
     inv = inverse_symbols(n, variant)
     composed = compose_symbols(op, inv)
-    assert composed[0].value == MatrixSymbol.identity(n)
-    assert composed[-1].value == MatrixSymbol.zero(n)
+    assert composed.read(0, 0) == MatrixSymbol.identity(n)
+    assert composed.read(-1, 0) == MatrixSymbol.zero(n)
 
 
 def test_compose_inverse_with_operator_is_identity():
@@ -72,8 +99,8 @@ def test_compose_inverse_with_operator_is_identity():
     op = operator_symbols(n, "Dv")
     inv = inverse_symbols(n, "Dv")
     composed = compose_symbols(inv, op)
-    assert composed[0].value == MatrixSymbol.identity(n)
-    assert composed[-1].value == MatrixSymbol.zero(n)
+    assert composed.read(0, 0) == MatrixSymbol.identity(n)
+    assert composed.read(-1, 0) == MatrixSymbol.zero(n)
 
 
 def test_first_inverse_leading_golden():
@@ -83,7 +110,7 @@ def test_first_inverse_leading_golden():
     expected = full_clifford(n).scale(
         RationalXi.inverse_norm_power(1) * RationalXi.const(I)
     )
-    assert inv[-1].value == expected
+    assert inv.read(-1, 0) == expected
 
 
 @pytest.mark.parametrize("variant", ["Dv", "DvStar"])
@@ -93,7 +120,7 @@ def test_second_inverse_matches_worked_formula(variant):
     n = 4
     inv = inverse_symbols(n, variant)
     op = operator_symbols(n, variant)
-    sigma0 = op[0].value
+    sigma0 = op.read(0, 0)
     c_full = full_clifford(n)
     c_nor = MatrixSymbol.from_clifford(normal_clifford(n))
     h = Poly.gen(gen_h())
@@ -107,7 +134,7 @@ def test_second_inverse_matches_worked_formula(variant):
     first = (c_full @ sigma0 @ c_full).scale(inv4)
     bracket = dxn_tan.scale(norm2) - c_full.scale(RationalXi.const(h))
     second = (c_full @ c_nor @ bracket).scale(inv6)
-    assert inv[-2].value == first + second
+    assert inv.read(-2, 0) == first + second
 
 
 def test_triple_composition_leading_symbols():
@@ -115,7 +142,7 @@ def test_triple_composition_leading_symbols():
     triple = composite_symbols(n, "D3")
     norm2 = RationalXi((Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0)
     expected_top = full_clifford(n).scale(norm2 * RationalXi.const(I))
-    assert triple[3].value == expected_top
+    assert triple.read(3, 0) == expected_top
 
 
 def test_triple_inverse_leading_golden():
@@ -125,7 +152,7 @@ def test_triple_inverse_leading_golden():
     expected = full_clifford(n).scale(
         RationalXi.inverse_norm_power(2) * RationalXi.const(I)
     )
-    assert inv[-3].value == expected
+    assert inv.read(-3, 0) == expected
 
 
 def test_triple_inverse_composes_to_identity():
@@ -133,18 +160,17 @@ def test_triple_inverse_composes_to_identity():
     triple = composite_symbols(n, "D3")
     inv = inverse_symbols(n, "D3")
     composed = compose_symbols(triple, inv)
-    assert composed[0].value == MatrixSymbol.identity(n)
-    assert composed[-1].value == MatrixSymbol.zero(n)
+    assert composed.read(0, 0) == MatrixSymbol.identity(n)
+    assert composed.read(-1, 0) == MatrixSymbol.zero(n)
 
 
 def test_invert_rejects_non_clifford_leading_symbol():
-    from wres.jets import invert_symbol
-
     n = 4
-    bad_top = SymbolJet(
+    bad = Symbol(
+        1,
         MatrixSymbol.identity(n, RationalXi.monomial(1, 1)),
         MatrixSymbol.zero(n),
+        MatrixSymbol.zero(n),
     )
-    bad_next = SymbolJet(MatrixSymbol.zero(n), None)
     with pytest.raises(ValueError):
-        invert_symbol(bad_top, bad_next, 1)
+        invert_symbol(bad)

@@ -423,8 +423,8 @@ def _product_trace(a, b):
 def test_trace_product_matches_the_formed_product_on_inverse_jets(n):
     symbols = []
     for variant in ("Dv", "DvStar", "D3"):
-        for jet in inverse_symbols(n, variant).values():
-            symbols += [jet.value] + ([jet.dxn] if jet.dxn is not None else [])
+        inv = inverse_symbols(n, variant)
+        symbols += [inv.top, inv.top_dxn, inv.low]
     nonzero = 0
     for a in symbols:
         for b in symbols:
@@ -479,8 +479,8 @@ def test_trace_product_matches_the_formed_product_on_random_symbols(a, b):
 def test_matrix_symbol_results_stay_in_sphere_normal_form(n):
     symbols = []
     for variant in ("Dv", "D3"):
-        for jet in inverse_symbols(n, variant).values():
-            symbols += [jet.value] + ([jet.dxn] if jet.dxn is not None else [])
+        inv = inverse_symbols(n, variant)
+        symbols += [inv.top, inv.top_dxn, inv.low]
     results = []
     for s in symbols:
         results += [-s, s.d_xi_n(), s.pi_plus(), s.pi_minus()]
