@@ -367,9 +367,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_part(self) -> GaussianRational:
-        return self.terms.get((), GR_ZERO)
-
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):

@@ -27,17 +27,18 @@ pole expansion, whose members are the distinct inverse symbols the
 operator pair reads.  Every first-order factor has the same top symbol
 and the same normal jets, so the leading value and its normal derivative
 depend only on how many factors an operator has; they are inverted once
-per factor count, and each operator adds only its own subleading value
-(`_member` finds a symbol among the members).  A `PoleExpansion` samples
-its function once per pole on the stacked contour nodes and takes the
-coefficients member by member as the members are computed, so the
-samples are never copied into one stack and only one factor count's
-leading values are held at a time.  Because the trace is bilinear in the
-pole terms, each case contracts tr(A_k B_m) of the two members it reads
-once, and the quadrature integrand is a small scalar form in powers of
-1/(x -+ i).  `line_quad` runs that integrand once per distinct
-quadrature node: its real and imaginary passes, and both tails, read a
-table of the values computed so far in the same call.  This is the same
+per factor count, and each operator adds only its own subleading value.
+Each member comes with the keys `(op, jet, order)` of every symbol it
+is, and a `PoleExpansion` keeps one table from those keys to the
+member's coefficients at the two poles.  It samples the members once per
+pole on the stacked contour nodes and takes the coefficients of each as
+it is computed, so only one factor count's leading values are held at a
+time.  Because the trace is bilinear in the pole terms, each case
+contracts tr(A_k B_m) of the two table entries it reads once, and the
+quadrature integrand is a small scalar form in powers of 1/(x -+ i).
+`line_quad` runs that integrand once per distinct quadrature node: its
+real and imaginary passes, and both tails, read a table of the values
+computed so far in the same call.  This is the same
 contour-and-quadrature computation in another order of summation, built
 from the oracle's own dense matrices: no exact-engine code enters it, so
 agreement still means what it meant.
@@ -204,27 +205,30 @@ class NumericFiber:
         """The distinct inverse symbols the operators in ops read, as one
         function of z.
 
-        For z stacked along a leading axis the function yields stacked
-        values one at a time, in the order `_member(op, jet, order, ops)`
-        indexes: for each factor count, the leading value and its normal
-        derivative, then the subleading value of each operator with that
-        count.  A consumer that reduces each member before taking the
-        next holds one count's leading values at a time.
+        For z stacked along a leading axis the function yields one
+        `(keys, value)` pair at a time: a stacked value and every
+        `(op, jet, order)` that reads it.  For each factor count come the
+        leading value and its normal derivative, which the operators with
+        that count share, then the subleading value of each of them.  A
+        consumer that reduces each value before taking the next holds one
+        count's leading values at a time.
         """
-        for op in ops:
+        groups = {}
+        for op in dict.fromkeys(ops):
             if op not in _FACTORS:
                 raise ValueError(f"unknown operator selector {op!r}")
+            groups.setdefault(len(_FACTORS[op]), []).append(op)
 
         def members(z):
-            for group in _by_factor_count(ops).values():
-                yield from self._group_members(group, z)
+            for count, group in groups.items():
+                yield from self._group_members(count, group, z)
 
         return members
 
-    def _group_members(self, group: list, z):
-        """The inverse members of operators with one factor count: their
-        shared leading value and its normal derivative, then the
-        subleading value of each."""
+    def _group_members(self, count: int, group: list, z):
+        """The keyed inverse members of the operators with one factor
+        count: their shared leading value and its normal derivative, then
+        the subleading value of each."""
         q = q_dxn = None
         for op in group:
             jets = (self._first_order_symbol(f, z) for f in _FACTORS[op])
@@ -232,19 +236,9 @@ class NumericFiber:
             if q is None:
                 q = np.linalg.inv(top)
                 q_dxn = -q @ top_dxn @ q
-                yield q
-                yield q_dxn
-            yield -q @ (low @ q - 1j * top_dxi @ q_dxn)
-
-    def inverse_family(self, op: str):
-        """The inverse of op's composed symbol as one function of z.
-
-        For z stacked along a leading axis the function returns, stacked
-        along axis 1, the leading value (order -len(factors)), its normal
-        derivative, and the subleading value.
-        """
-        members = self.inverse_members((op,))
-        return lambda z: np.stack(list(members(z)), axis=1)
+                yield [(other, 0, -count) for other in group], q
+                yield [(other, 1, -count) for other in group], q_dxn
+            yield [(op, 0, -count - 1)], -q @ (low @ q - 1j * top_dxi @ q_dxn)
 
 
 def _compose(left: tuple, right: tuple) -> tuple:
@@ -263,70 +257,34 @@ def _compose(left: tuple, right: tuple) -> tuple:
     )
 
 
-def _by_factor_count(ops: tuple) -> dict:
-    """The distinct operators of ops grouped by their factor count, in
-    order of first appearance.
-
-    The leading value of an inverse and its normal derivative depend
-    only on the factor count, so a group shares them.
-    """
-    groups = {}
-    for op in dict.fromkeys(ops):
-        groups.setdefault(len(_FACTORS[op]), []).append(op)
-    return groups
-
-
-def _member(op: str, jet: int, order: int, ops: tuple = ()) -> int:
-    """Index of op's (jet, order) symbol among the members of
-    `inverse_members(ops)`; ops defaults to op alone, the members of
-    `inverse_family(op)`."""
-    count = len(_FACTORS[op])
-    slot = {
-        (0, -count): ("leading", count),
-        (1, -count): ("leading_dxn", count),
-        (0, -count - 1): ("subleading", op),
-    }[jet, order]
-    slots = []
-    for group_count, group in _by_factor_count(ops or (op,)).items():
-        slots += [("leading", group_count), ("leading_dxn", group_count)]
-        slots += [("subleading", other) for other in group]
-    return slots.index(slot)
-
-
 # ---------------------------------------------------------------------------
 # contour-based pole expansions
 
 
-def _pole_coefficients(f, center: complex, order: int) -> np.ndarray:
-    """Principal-part coefficients of f at center by contour trapezoid.
+def _pole_coefficients(members, center: complex, order: int):
+    """Principal-part coefficients of each member at center by contour
+    trapezoid.
 
-    Returns the stack [A_1 .. A_order] with f ~ sum A_k / (z - center)**k
-    near the center; spectral accuracy in the node count for rational f.
-    f is called once, on all nodes stacked along a leading axis.  It
-    returns one stack of values, or yields several stacks (members),
-    whose coefficients are taken one member at a time, as each arrives,
-    and stacked along axis 1.
+    members is called once, on all nodes stacked along a leading axis,
+    and yields `(keys, samples)` pairs.  For each one this yields
+    `(keys, coeffs)`, with coeffs the stack [A_1 .. A_order] and the
+    member ~ sum A_k / (z - center)**k near the center; spectral accuracy
+    in the node count for rational members.
     """
     m = _CONTOUR_NODES
     r = _CONTOUR_RADIUS
     theta = 2.0 * math.pi * np.arange(m) / m
     ring = r * np.exp(1j * theta)
-    samples = f(center + ring[:, None, None])
     powers = ring[None, :] ** np.arange(1, order + 1)[:, None]
-    if isinstance(samples, np.ndarray):
-        return _contour_sum(powers, samples)
+
+    def reduced(member):
+        keys, samples = member
+        coeffs = powers @ samples.reshape(m, -1) / m
+        return keys, coeffs.reshape((order,) + samples.shape[1:])
+
     # map lets go of each member once it is reduced, before the next one
     # is computed; a loop variable would keep it alive meanwhile.
-    reduced = map(lambda member: _contour_sum(powers, member), samples)
-    return np.stack(list(reduced), axis=1)
-
-
-def _contour_sum(powers: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """The trapezoid sums of samples, shape (nodes, *s), against each row
-    of powers, shape (order, nodes): shape (order, *s)."""
-    m = len(samples)
-    coeffs = powers @ samples.reshape(m, -1) / m
-    return coeffs.reshape((len(powers),) + samples.shape[1:])
+    return map(reduced, members(center + ring[:, None, None]))
 
 
 def _derivative_factors(order: int, deriv: int) -> np.ndarray:
@@ -339,61 +297,43 @@ def _derivative_factors(order: int, deriv: int) -> np.ndarray:
 
 
 class PoleExpansion:
-    """f as principal parts at +i and -i; proper rational in between.
+    """Members as principal parts at +i and -i; proper rational in between.
 
-    f is sampled once per pole on the whole contour: it receives z of
-    shape (nodes, 1, 1) and must return its values stacked along the
-    leading axis, shape (nodes, *s), or yield several such stacks, whose
-    coefficients are stacked along axis 1.  The fiber's inverse members
-    are yielded so, because `@` and `np.linalg.inv` act on stacks; a
-    scalar f stacks by broadcasting, and its values come back with shape
-    s = (1, 1).
+    members is sampled once per pole on the whole contour: it receives z
+    of shape (nodes, 1, 1) and yields `(keys, samples)` pairs, each
+    sample stack of shape (nodes, *s).  The fiber's inverse members are
+    yielded so, because `@` and `np.linalg.inv` act on stacks.
+    `terms[key]` holds the coefficients `(plus, minus)` at the two poles
+    of the member that key reads, each of shape (order, *s).
     """
 
-    def __init__(self, f, order: int = _POLE_ORDER):
-        self.plus = _pole_coefficients(f, 1j, order)
-        self.minus = _pole_coefficients(f, -1j, order)
-
-    def _eval_side(self, coeffs, center, z, deriv):
-        factors = _derivative_factors(len(coeffs), deriv).tolist()
-        total = None
-        for k, (a_k, factor) in enumerate(zip(coeffs, factors), start=1):
-            term = a_k * (factor / (z - center) ** (k + deriv))
-            total = term if total is None else total + term
-        return total
-
-    def eval(self, z: complex, deriv: int = 0):
-        return self._eval_side(self.plus, 1j, z, deriv) + self._eval_side(
-            self.minus, -1j, z, deriv
+    def __init__(self, members, order: int = _POLE_ORDER):
+        plus, minus = (
+            {
+                key: coeffs
+                for keys, coeffs in _pole_coefficients(members, pole, order)
+                for key in keys
+            }
+            for pole in (1j, -1j)
         )
-
-    def eval_plus(self, z: complex, deriv: int = 0):
-        """Only the upper principal part: the half-space projection."""
-        return self._eval_side(self.plus, 1j, z, deriv)
+        self.terms = {key: (plus[key], minus[key]) for key in plus}
 
 
-def _trace_integrand(
-    left: PoleExpansion,
-    left_member: int,
-    right: PoleExpansion,
-    right_member: int,
-    case: CaseTuple,
-):
-    """x -> coeff * tr(L(x) @ R(x)) for one member of each expansion.
+def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
+    """x -> coeff * tr(L(x) @ R(x)) for two entries of
+    `PoleExpansion.terms`.
 
-    L is the upper part of left's member, differentiated case.k times; R
-    is right's member, differentiated case.j + 1 times.  The trace is
-    bilinear in the pole terms, so it is contracted once:
+    L is the upper part of left, differentiated case.k times; R is all of
+    right, differentiated case.j + 1 times.  The trace is bilinear in the
+    pole terms, so it is contracted once:
     G[k, m] = coeff * f_k * g_m * tr(A_k B_m) over the upper terms A of
     L and the terms B of both poles of R, with f, g the derivative
     factors.  The integrand is then w(x) @ G @ u(x), where w and u hold
     the matching powers of 1/(x - i) and 1/(x -+ i).
     """
-    order = len(left.plus)
-    terms = np.concatenate(
-        (right.plus[:, right_member], right.minus[:, right_member])
-    )
-    gram = np.einsum("kab,mba->km", left.plus[:, left_member], terms)
+    left_plus = left[0]
+    order = len(left_plus)
+    gram = np.einsum("kab,mba->km", left_plus, np.concatenate(right))
     gram *= _case_coefficient(case) * np.outer(
         _derivative_factors(order, case.k),
         np.tile(_derivative_factors(order, case.j + 1), 2),
@@ -468,12 +408,11 @@ def _line_integrals(
 
     The cases share one fiber and one pole expansion.  Its members are
     the distinct inverse symbols of the pair (`inverse_members`), all
-    from one sample per pole; a case reads the member its operator, jet
-    and order select.
+    from one sample per pole; a case reads the terms its operator, jet
+    and order key.
     """
     fiber = NumericFiber(scenario)
-    ops = (left_op, right_op)
-    expansion = PoleExpansion(fiber.inverse_members(ops))
+    terms = PoleExpansion(fiber.inverse_members((left_op, right_op))).terms
     values = []
     for case in cases:
         if case.alpha > 0:
@@ -482,10 +421,8 @@ def _line_integrals(
         if case.j > 1 or case.k > 1:
             raise ValueError("needs higher normal jets than tracked")
         integrand = _trace_integrand(
-            expansion,
-            _member(left_op, case.j, case.r, ops),
-            expansion,
-            _member(right_op, case.k, case.l, ops),
+            terms[left_op, case.j, case.r],
+            terms[right_op, case.k, case.l],
             case,
         )
         values.append(line_quad(integrand, scenario.t_bound))

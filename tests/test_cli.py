@@ -538,6 +538,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 ORACLE_CAPTURES = [
     ("crosscheck-4-Dv-DvStar-scenarios4-seed0.json", 0, "4 Dv DvStar 4 0"),
     ("crosscheck-6-Dv-D3-scenarios1-seed3.json", 0, "6 Dv D3 1 3"),
+    (
+        "crosscheck-4-Dv-Dv-scenarios4-seed9-independent-dual.json",
+        0,
+        "4 Dv Dv 4 9 --independent-dual",
+    ),
 ]
 
 
@@ -550,9 +555,10 @@ def test_crosscheck_output_is_byte_identical_to_capture(
         monkeypatch.delenv("WRES_THREADS", raising=False)
     else:
         monkeypatch.setenv("WRES_THREADS", threads)
-    dim, left, right, scenarios, seed = settings.split()
+    dim, left, right, scenarios, seed, *flags = settings.split()
     argv = ["crosscheck", "--dim", dim, "--left", left, "--right", right]
     argv += ["--scenarios", scenarios, "--seed", seed, "--emit", "json"]
+    argv += flags
     got_code, out, _ = run_main(capsys, argv)
     with open(os.path.join(DATA, name), "rb") as handle:
         want = handle.read()

@@ -20,7 +20,7 @@ from wres.clifford import (
     tangential_clifford,
     word_product,
 )
-from wres.exact import Poly, gen_h, gen_v, gen_vs, gen_xi
+from wres.exact import GR_ZERO, Poly, gen_h, gen_v, gen_vs, gen_xi
 from wres.numcheck import _exterior
 from wres.rational import MatrixSymbol
 
@@ -188,7 +188,7 @@ class DenseWords:
     def op(self, a):
         out = np.zeros((1 << self.n, 1 << self.n))
         for w, p in a.words.items():
-            out += p.constant_part().re * self.word(w)
+            out += p.terms.get((), GR_ZERO).re * self.word(w)
         return out
 
 
@@ -235,7 +235,8 @@ def test_operator_products_match_dense_matrices(n):
         b = _random_op(rng, n, rng.randint(1, 12))
         product = a @ b
         assert np.array_equal(dense.op(product), dense.op(a) @ dense.op(b))
-        assert np.trace(dense.op(product)) == product.trace().constant_part().re
+        trace = product.trace().terms.get((), GR_ZERO)
+        assert np.trace(dense.op(product)) == trace.re
         assert MatrixSymbol.from_clifford(a) @ MatrixSymbol.from_clifford(
             b
         ) == MatrixSymbol.from_clifford(product)

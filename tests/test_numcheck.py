@@ -4,6 +4,7 @@ operators, and the exact-vs-numeric crosscheck rows."""
 import ast
 import math
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -14,14 +15,14 @@ from scipy.integrate import quad
 
 from wres.boundary import CaseTuple, boundary_phi
 from wres.exact import GaussianRational, Poly, gen_omega
-from wres import numcheck
+from wres import jets, numcheck
 from wres.numcheck import (
     _POLE_ORDER,
     NumericFiber,
     NumericScenario,
     PoleExpansion,
     _case_coefficient,
-    _member,
+    _derivative_factors,
     _pole_coefficients,
     _trace_integrand,
     crosscheck,
@@ -111,14 +112,11 @@ def _crosscheck_integrands(n, left, right, seed):
     """The quadrature integrands of every live case of one scenario."""
     _, reports = boundary_phi(n, left, right)
     fiber = NumericFiber(NumericScenario.draw(n, seed))
-    ops = (left, right)
-    expansion = PoleExpansion(fiber.inverse_members(ops))
+    terms = PoleExpansion(fiber.inverse_members((left, right))).terms
     return [
         _trace_integrand(
-            expansion,
-            _member(left, r.tuple.j, r.tuple.r, ops),
-            expansion,
-            _member(right, r.tuple.k, r.tuple.l, ops),
+            terms[left, r.tuple.j, r.tuple.r],
+            terms[right, r.tuple.k, r.tuple.l],
             r.tuple,
         )
         for r in reports
@@ -181,6 +179,39 @@ def eval_const_rational(rat, z):
     return num / ((z - 1j) ** rat.a * (z + 1j) ** rat.b)
 
 
+def _expand(f):
+    """The `PoleExpansion.terms` entry of one function f, passed as a
+    one-member family."""
+
+    def members(z):
+        yield ["f"], f(z)
+
+    return PoleExpansion(members).terms["f"]
+
+
+def _eval_side(coeffs, center, z, deriv):
+    """The principal part with coefficients coeffs at center, evaluated at
+    z and differentiated deriv times; `PoleExpansion._eval_side` as it
+    was, kept verbatim as the reference for the contracted integrand."""
+    factors = _derivative_factors(len(coeffs), deriv).tolist()
+    total = None
+    for k, (a_k, factor) in enumerate(zip(coeffs, factors), start=1):
+        term = a_k * (factor / (z - center) ** (k + deriv))
+        total = term if total is None else total + term
+    return total
+
+
+def _eval(entry, z, deriv=0):
+    """Both principal parts of a `PoleExpansion.terms` entry at z."""
+    plus, minus = entry
+    return _eval_side(plus, 1j, z, deriv) + _eval_side(minus, -1j, z, deriv)
+
+
+def _eval_plus(entry, z, deriv=0):
+    """Only the upper principal part: the half-space projection."""
+    return _eval_side(entry[0], 1j, z, deriv)
+
+
 def test_pole_expansion_reproduces_rationals():
     """Contour-extracted principal parts must reproduce proper rational
     functions and their normal-covariable derivatives on the real line."""
@@ -188,19 +219,20 @@ def test_pole_expansion_reproduces_rationals():
     points = [-2.7, -1.1, -0.3, 0.4, 1.6, 3.2]
     for _ in range(25):
         rat = random_proper_rational(rng)
-        poles = PoleExpansion(lambda z, r=rat: eval_const_rational(r, z))
+        poles = _expand(lambda z, r=rat: eval_const_rational(r, z))
         drat = rat.d_xi_n()
         for x in points:
-            assert abs(poles.eval(x) - eval_const_rational(rat, x)) < 1e-9
-            assert abs(poles.eval(x, 1) - eval_const_rational(drat, x)) < 1e-8
+            assert abs(_eval(poles, x) - eval_const_rational(rat, x)) < 1e-9
+            derivative = _eval(poles, x, 1)
+            assert abs(derivative - eval_const_rational(drat, x)) < 1e-8
 
 
 def test_pole_expansion_projection_golden():
     # 1/(1+x**2) splits at the poles; the upper part is -i/2 / (x - i)
-    poles = PoleExpansion(lambda z: 1.0 / (1.0 + z * z))
+    poles = _expand(lambda z: 1.0 / (1.0 + z * z))
     for x in (-1.5, 0.0, 0.8, 2.5):
         want = -0.5j / (x - 1j)
-        assert abs(poles.eval_plus(x) - want) < 1e-12
+        assert abs(_eval_plus(poles, x) - want) < 1e-12
 
 
 def test_pole_expansion_handles_matrix_values():
@@ -212,8 +244,7 @@ def test_pole_expansion_handles_matrix_values():
             ]
         )
 
-    poles = PoleExpansion(f)
-    got = poles.eval(0.5)
+    got = _eval(_expand(f), 0.5)
     assert abs(got[0, 0] - 1.0 / (0.5 - 1j)) < 1e-10
     assert abs(got[1, 1] - 1.0 / (0.5 + 1j) ** 2) < 1e-10
     # the entire entry has no principal part anywhere
@@ -256,10 +287,11 @@ def test_numeric_inverses_invert(n, op):
     fiber = NumericFiber(NumericScenario.draw(n, 13))
     z = np.array([0.3, -1.7, 2.2])[:, None, None]
     top = np.linalg.matrix_power(1j * (fiber.c_tan + z * fiber.c_nor), order)
-    leading = fiber.inverse_family(op)(z)[:, 0]
+    keys, leading = next(fiber.inverse_members((op,))(z))
+    assert keys == [(op, 0, -order)]
     assert np.max(np.abs(leading @ top - np.eye(fiber.dim))) < 1e-10
     with pytest.raises(ValueError):
-        fiber.inverse_family("Dx")
+        fiber.inverse_members(("Dx",))
 
 
 def _frozen_inverse_family(fiber, op):
@@ -342,9 +374,14 @@ def _frozen_inverse_family(fiber, op):
 
 
 def _contour_argument(center):
-    """The stacked ring `_pole_coefficients` samples its function on."""
+    """The stacked ring `_pole_coefficients` samples its members on."""
     seen = []
-    _pole_coefficients(lambda z: seen.append(z) or z, center, 1)
+
+    def members(z):
+        seen.append(z)
+        yield [], z
+
+    list(_pole_coefficients(members, center, 1))
     return seen[0]
 
 
@@ -355,7 +392,7 @@ def test_inverse_family_matches_frozen_closures(n, op):
     """Every member of the composed-and-inverted family is bit for bit
     the value the hand-written closures computed, at both poles."""
     fiber = NumericFiber(NumericScenario.draw(n, 41))
-    family = fiber.inverse_family(op)
+    family = fiber.inverse_members((op,))
     old = _frozen_inverse_family(fiber, op)
     top = max(old["dxn"])
     members = [
@@ -365,16 +402,18 @@ def test_inverse_family_matches_frozen_closures(n, op):
     ]
     for pole in (1j, -1j):
         z = _contour_argument(pole)
-        got = family(z)
-        assert got.shape == (len(z), 3, fiber.dim, fiber.dim)
+        got = {key: value for keys, value in family(z) for key in keys}
+        assert len(got) == 3
         for jet, order, reference in members:
-            member = got[:, _member(op, jet, order)]
+            member = got[op, jet, order]
+            assert member.shape == (len(z), fiber.dim, fiber.dim)
             assert np.array_equal(member, reference(z)), (pole, jet, order)
 
 
 def _frozen_stacked_family(fiber, op):
     """`inverse_family(op)` as it was before the per-scenario members,
-    kept verbatim (with its `_invert`) as the reference for them."""
+    kept verbatim (with its `_invert`) as the reference for them.  Its
+    stacked value is yielded as one member, keyed by op."""
 
     def _invert(symbol):
         top, top_dxn, top_dxi, low = symbol
@@ -386,7 +425,7 @@ def _frozen_stacked_family(fiber, op):
 
     def family(z):
         jets = (fiber._first_order_symbol(f, z) for f in factors)
-        return np.stack(_invert(reduce(numcheck._compose, jets)), axis=1)
+        yield [op], np.stack(_invert(reduce(numcheck._compose, jets)), axis=1)
 
     return family
 
@@ -412,6 +451,8 @@ def test_shared_members_match_frozen_per_operator_families(
         z = _contour_argument(pole)
         got = list(members(z))
         assert len(got) == count
+        keyed = {key: value for keys, value in got for key in keys}
+        assert len(keyed) == 3 * len(set(ops))
         for op in ops:
             old = _frozen_inverse_family(fiber, op)
             top = max(old["dxn"])
@@ -420,7 +461,7 @@ def test_shared_members_match_frozen_per_operator_families(
                 (1, top, old["dxn"][top]),
                 (0, top - 1, old["value"][top - 1]),
             ]:
-                member = got[_member(op, jet, order, ops)]
+                member = keyed[op, jet, order]
                 assert np.array_equal(member, reference(z)), (op, jet, order)
 
 
@@ -432,18 +473,72 @@ def test_shared_expansion_matches_frozen_per_operator_expansions(
     frozen stacked family of each operator gives."""
     fiber = NumericFiber(NumericScenario.draw(n, 43, dual=dual))
     ops = (left, right)
-    shared = PoleExpansion(fiber.inverse_members(ops))
-    assert shared.plus.shape[1] == count
+    shared = PoleExpansion(fiber.inverse_members(ops)).terms
+    assert len({id(plus) for plus, _ in shared.values()}) == count
     for op in ops:
         top = -len(numcheck._FACTORS[op])
-        alone = PoleExpansion(_frozen_stacked_family(fiber, op))
+        alone_plus, alone_minus = PoleExpansion(
+            _frozen_stacked_family(fiber, op)
+        ).terms[op]
         symbols = [(0, top), (1, top), (0, top - 1)]
         for index, (jet, order) in enumerate(symbols):
-            member = _member(op, jet, order, ops)
-            assert np.array_equal(shared.plus[:, member], alone.plus[:, index])
-            assert np.array_equal(
-                shared.minus[:, member], alone.minus[:, index]
-            )
+            plus, minus = shared[op, jet, order]
+            assert np.array_equal(plus, alone_plus[:, index])
+            assert np.array_equal(minus, alone_minus[:, index])
+
+
+RELEASE_PAIRS = [(4, "Dv", "DvStar", 4), (6, "Dv", "D3", 6)]
+
+
+@pytest.mark.parametrize("n, left, right, count", RELEASE_PAIRS)
+def test_inverse_members_hold_only_the_current_leading_values(
+    n, left, right, count
+):
+    """Once the consumer drops a member, only the leading value and the
+    normal derivative of the factor count being yielded stay alive."""
+    fiber = NumericFiber(NumericScenario.draw(n, 41))
+    members = fiber.inverse_members((left, right))(_contour_argument(1j))
+    yielded = []
+    for keys, value in members:
+        op, _, order = keys[0]
+        factors = len(numcheck._FACTORS[op])
+        yielded.append((factors, order == -factors, weakref.ref(value)))
+        del keys, value
+        alive = [
+            (f, leading) for f, leading, ref in yielded if ref() is not None
+        ]
+        assert alive == [
+            (f, leading) for f, leading, _ in yielded
+            if f == factors and leading
+        ]
+    assert len(yielded) == count
+
+
+def test_pole_expansion_holds_no_earlier_member_samples():
+    """`PoleExpansion` reduces each member's samples before it asks for
+    the next member."""
+    refs = []
+
+    def sample(key, z):
+        value = np.full_like(z, key, dtype=complex)
+        refs.append(weakref.ref(value))
+        return [key], value
+
+    def members(z):
+        for key in range(4):
+            assert all(ref() is None for ref in refs)
+            yield sample(key, z)
+
+    terms = PoleExpansion(members).terms
+    assert sorted(terms) == [0, 1, 2, 3]
+    assert len(refs) == 8
+    assert all(ref() is None for ref in refs)
+
+
+def test_engine_and_oracle_factor_tables_agree():
+    """The oracle keeps its own copy of the engine's factor table; a
+    difference would show only as failed crosscheck rows."""
+    assert jets._FACTORS == numcheck._FACTORS
 
 
 def test_alpha_case_is_numerically_zero():
@@ -483,18 +578,18 @@ def test_contracted_integrand_matches_matrix_trace(n, left, right):
     of the two evaluated pole expansions, case by case."""
     _, reports = boundary_phi(n, left, right)
     fiber = NumericFiber(NumericScenario.draw(n, 29))
-    lp = PoleExpansion(fiber.inverse_family(left))
-    rp = PoleExpansion(fiber.inverse_family(right))
+    lp = PoleExpansion(fiber.inverse_members((left,))).terms
+    rp = PoleExpansion(fiber.inverse_members((right,))).terms
     live = [r.tuple for r in reports if not r.structurally_zero]
     assert live
     for case in live:
-        lm = _member(left, case.j, case.r)
-        rm = _member(right, case.k, case.l)
-        integrand = _trace_integrand(lp, lm, rp, rm, case)
+        lm = lp[left, case.j, case.r]
+        rm = rp[right, case.k, case.l]
+        integrand = _trace_integrand(lm, rm, case)
         coeff = _case_coefficient(case)
         for x in (-7.5, -2.3, -1.0, -0.4, 0.0, 0.6, 1.9, 11.0):
             want = coeff * np.trace(
-                lp.eval_plus(x, case.k)[lm] @ rp.eval(x, case.j + 1)[rm]
+                _eval_plus(lm, x, case.k) @ _eval(rm, x, case.j + 1)
             )
             assert abs(integrand(x) - want) <= 1e-12 * abs(want)
 
@@ -519,15 +614,19 @@ def test_pole_order_covers_every_inverse_family(n, op):
     """The assumed principal-part length is long enough: the contour
     coefficients of the four orders beyond it vanish at both poles."""
     fiber = NumericFiber(NumericScenario.draw(n, 101))
-    family = fiber.inverse_family(op)
-    coeffs = np.abs(
-        [
-            _pole_coefficients(family, pole, _POLE_ORDER + 4)
-            for pole in (1j, -1j)
-        ]
+    family = fiber.inverse_members((op,))
+    plus, minus = (
+        {
+            tuple(keys): np.abs(coeffs)
+            for keys, coeffs in _pole_coefficients(
+                family, pole, _POLE_ORDER + 4
+            )
+        }
+        for pole in (1j, -1j)
     )
-    for member in range(3):
-        member_coeffs = coeffs[:, :, member]
+    assert len(plus) == 3
+    for member in plus:
+        member_coeffs = np.array([plus[member], minus[member]])
         tail = member_coeffs[:, _POLE_ORDER:].max()
         assert tail < 1e-12 * member_coeffs.max(), (member, tail)
 

@@ -16,6 +16,7 @@ from wres.clifford import (
 from wres.exact import (
     GR_I,
     GR_MINUS_I,
+    GR_ZERO,
     GaussianRational,
     Poly,
     _add_product_into,
@@ -374,7 +375,7 @@ def test_taylor_shift_matches_the_earlier_horner_loop(data, c, size):
 
 def _to_sympy(sp, f, x):
     def scalar(p):
-        c = p.constant_part()
+        c = p.terms.get((), GR_ZERO)
         re, im = Fraction(c.re), Fraction(c.im)
         return sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(
             im.numerator, im.denominator
