@@ -124,6 +124,20 @@ class _WordMap:
         if self.n != other.n:
             raise ValueError(f"fiber dimension mismatch: {self.n} vs {other.n}")
 
+    def _trace_pairs(self, other) -> list:
+        """The (sign, EMPTY_WORD, left, right) products whose sum is the
+        empty-word coefficient of self @ other.
+
+        Only equal words multiply to the empty word, the one word with a
+        trace, so only those pairs occur; each ring sums them its own way.
+        """
+        self._check(other)
+        return [
+            (*word_product(u, u), left, right)
+            for u, left in self.words.items()
+            if (right := other.words.get(u)) is not None
+        ]
+
     # -- queries -----------------------------------------------------
 
     @property
@@ -177,6 +191,13 @@ class CliffordOp(_WordMap):
         return CliffordOp(
             self.n, {w: Poly._own(terms) for w, terms in sums.items() if terms}
         )
+
+    def trace_product(self, other: "CliffordOp") -> Poly:
+        """Fiber trace of self @ other, without forming the product."""
+        terms: dict = {}
+        for sign, _, left, right in self._trace_pairs(other):
+            _add_product_into(terms, left if sign > 0 else -left, right)
+        return Poly._own(terms) * (1 << self.n)
 
     def trace(self) -> Poly:
         """Trace on the fiber: 2**n times the coefficient of the empty word."""

@@ -11,6 +11,13 @@ Three operator squares occur: the square of the drift operator, the
 square of its formal adjoint, and the mixed product adjoint-times-
 operator.  They share the curvature and scalar terms and differ in how
 the drift enters the quadratic and gradient terms.
+
+Apart from the curvature term, the endomorphism is one list of
+products coeff * left @ right.  build_endomorphism forms and sums them;
+interior_trace takes the trace product by product, which reads only the
+pairs of equal words, and never forms the endomorphism.  The curvature
+term is written down word by word; its trace vanishes because none of
+its words is empty.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from typing import Iterable, Iterator
 
 from .clifford import (
     CliffordOp,
@@ -62,23 +70,27 @@ def curvature_term(n: int) -> CliffordOp:
 
     R_ijkl and both pair products cbar_i cbar_j and c_k c_l change sign
     when a pair is swapped, so the four orientations of each term agree
-    and the sum is half the one over i < j, k < l.  The pair products
-    are formed once each, so every term costs a single product.
+    and the sum is half the one over i < j, k < l.  For such indices
+    cbar_i cbar_j c_k c_l is the single word c_k c_l cbar_i cbar_j with
+    sign +1, since moving two cbar past two c is an even permutation,
+    and no two index tuples share a word: the term needs no product.
     """
-    cb = {i: build_generator(n, i, "clifford_bar") for i in range(1, n + 1)}
-    cc = {i: build_generator(n, i, "clifford") for i in range(1, n + 1)}
-    pairs = list(combinations(range(1, n + 1), 2))
-    cb_pair = {(i, j): cb[i] @ cb[j] for i, j in pairs}
-    cc_pair = {(k, l): cc[k] @ cc[l] for k, l in pairs}
-    out = CliffordOp.zero(n)
-    for ij, kl in product(pairs, repeat=2):
-        term = cb_pair[ij] @ cc_pair[kl]
-        out = out + term.scale(Poly.gen(gen_riemann(*ij, *kl)[1]))
-    return out.scale(Fraction(1, 2))
+    pairs = [
+        (i, j, (1 << (i - 1)) | (1 << (j - 1)))
+        for i, j in combinations(range(1, n + 1), 2)
+    ]
+    half = Fraction(1, 2)
+    return CliffordOp(
+        n,
+        {
+            (kl, ij): Poly.gen(gen_riemann(i, j, k, l)[1], coeff=half)
+            for (i, j, ij), (k, l, kl) in product(pairs, repeat=2)
+        },
+    )
 
 
-def drift_square_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
-    """-(1/4) sum_i (c_i L + R c_i)**2.
+def _square_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
+    """-(1/4) sum_i (c_i L + R c_i)**2 as (coeff, left, right) triples.
 
     L is the inner drift action of the variant, the one inside the
     operator, and R the outer one, brought in from the left factor;
@@ -87,48 +99,73 @@ def drift_square_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
     inner, outer = _drift_kinds(variant)
     left = _drift(n, inner, dual)
     right = left if outer == inner else _drift(n, outer, dual)
-    out = CliffordOp.zero(n)
     for i in range(1, n + 1):
         c_i = build_generator(n, i, "clifford")
         term = c_i @ left + right @ c_i
-        out = out - (term @ term)
-    return out.scale(Fraction(1, 4))
+        yield Fraction(-1, 4), term, term
 
 
-def drift_gradient_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
-    """(1/2) sum_j (nabla_j X c_j - c_j nabla_j Y).
+def _gradient_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
+    """(1/2) sum_j (nabla_j X c_j - c_j nabla_j Y) as (coeff, left, right)
+    triples.
 
     X is the outer drift action of the variant and Y the inner one:
     interior for the operator square, exterior for the adjoint square,
     and exterior against interior for the mixed product.
     """
     inner, outer = _drift_kinds(variant)
-    out = CliffordOp.zero(n)
     for j in range(1, n + 1):
         c_j = build_generator(n, j, "clifford")
         x = _nabla(n, j, outer, dual)
         y = x if inner == outer else _nabla(n, j, inner, dual)
-        out = out + (x @ c_j - c_j @ y)
-    return out.scale(Fraction(1, 2))
+        yield Fraction(1, 2), x, c_j
+        yield Fraction(-1, 2), c_j, y
+
+
+def _products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
+    """The endomorphism minus its curvature term, as (coeff, left, right)
+    triples: the scalar term -s/4, the drift square, the drift gradient
+    and, for the mixed product, -(exterior drift)(interior drift)."""
+    one = CliffordOp.identity(n)
+    yield Poly.gen(gen_s(), coeff=Fraction(-1, 4)), one, one
+    yield from _square_products(n, variant, dual)
+    yield from _gradient_products(n, variant, dual)
+    if variant == "DvStarDv":
+        yield -1, drift_exterior(n, dual), drift_interior(n)
+
+
+def _sum_products(n: int, products: Iterable[tuple]) -> CliffordOp:
+    """The sum of coeff * (left @ right) over the triples."""
+    out = CliffordOp.zero(n)
+    for coeff, left, right in products:
+        out = out + (left @ right).scale(coeff)
+    return out
+
+
+def drift_square_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
+    """-(1/4) sum_i (c_i L + R c_i)**2; see _square_products."""
+    return _sum_products(n, _square_products(n, variant, dual))
+
+
+def drift_gradient_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
+    """(1/2) sum_j (nabla_j X c_j - c_j nabla_j Y); see _gradient_products."""
+    return _sum_products(n, _gradient_products(n, variant, dual))
 
 
 def build_endomorphism(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """The endomorphism piece of the chosen Laplacian at the base point."""
     _drift_kinds(variant)
-    out = curvature_term(n)
-    out = out - CliffordOp.identity(n, Fraction(1, 4)).scale(Poly.gen(gen_s()))
-    out = out + drift_square_term(n, variant, dual)
-    out = out + drift_gradient_term(n, variant, dual)
-    if variant == "DvStarDv":
-        out = out - drift_exterior(n, dual) @ drift_interior(n)
-    return out
+    return curvature_term(n) + _sum_products(n, _products(n, variant, dual))
 
 
 def interior_trace(n: int, variant: str, dual: bool = True) -> Poly:
-    """Fiber trace of s/6 plus the endomorphism."""
-    endo = build_endomorphism(n, variant, dual)
-    scalar = Poly.gen(gen_s(), coeff=Fraction(1, 6)) * Fraction(1 << n)
-    return scalar + endo.trace()
+    """Fiber trace of s/6 plus the endomorphism, one product at a time."""
+    _drift_kinds(variant)
+    out = Poly.gen(gen_s(), coeff=Fraction(1, 6)) * Fraction(1 << n)
+    out = out + curvature_term(n).trace()
+    for coeff, left, right in _products(n, variant, dual):
+        out = out + left.trace_product(right) * coeff
+    return out
 
 
 def residue_prefactor(n: int) -> Poly:

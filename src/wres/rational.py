@@ -426,18 +426,9 @@ class MatrixSymbol(_WordMap):
         return MatrixSymbol(self.n, _product_cells(pairs, self.n))
 
     def trace_product(self, other: "MatrixSymbol") -> RationalXi:
-        """Fiber trace of self @ other, without forming the product.
-
-        Only equal words multiply to the empty word, the one word with a
-        trace, so only those pairs are summed.
-        """
-        self._check(other)
-        pairs = []
-        for u, left in self.words.items():
-            right = other.words.get(u)
-            if right is not None:
-                pairs.append((*word_product(u, u), left, right))
-        empty = _product_cells(pairs, self.n).get(EMPTY_WORD, RationalXi.zero())
+        """Fiber trace of self @ other, without forming the product."""
+        cells = _product_cells(self._trace_pairs(other), self.n)
+        empty = cells.get(EMPTY_WORD, RationalXi.zero())
         return empty.scale(1 << self.n)
 
     # -- calculus ----------------------------------------------------

@@ -566,6 +566,26 @@ def test_crosscheck_output_is_byte_identical_to_capture(
     assert out.encode("utf-8") == want
 
 
+# Captured stdout of interior commands, each of which exits 0.  There is
+# no reference density at n=8, so that run compares against nothing.
+INTERIOR_CAPTURES = [
+    (f"interior-6-{op}{suffix}.json", f"6 {op}{flag}")
+    for op in ("Dv2", "DvStar2", "DvStarDv")
+    for suffix, flag in (("", ""), ("-independent-dual", " --independent-dual"))
+] + [("interior-8-DvStarDv-independent-dual.json", "8 DvStarDv --independent-dual")]
+
+
+@pytest.mark.parametrize("name, settings", INTERIOR_CAPTURES)
+def test_interior_output_is_byte_identical_to_capture(capsys, name, settings):
+    dim, op, *flags = settings.split()
+    argv = ["interior", "--dim", dim, "--op", op, "--emit", "json", *flags]
+    got_code, out, _ = run_main(capsys, argv)
+    with open(os.path.join(DATA, name), "rb") as handle:
+        want = handle.read()
+    assert got_code == 0
+    assert out.encode("utf-8") == want
+
+
 # ---------------------------------------------------------------------------
 # run_command as a library entry
 

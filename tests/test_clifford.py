@@ -258,6 +258,29 @@ def test_word_product_is_associative(triple):
     assert s_uv * s_left == s_vw * s_right
 
 
+def _ops(n):
+    """Two random operators on one fiber, coefficients V(k) times small
+    integers, so that signs and cancellations both show."""
+    entry = st.tuples(_words(n), st.integers(1, 3), st.sampled_from([-2, -1, 1, 3]))
+    words = st.lists(entry, min_size=0, max_size=12)
+
+    def build(entries):
+        op = CliffordOp.zero(n)
+        for w, k, c in entries:
+            op = op + CliffordOp(n, {w: Poly.gen(gen_v(k), coeff=c)})
+        return op
+
+    return st.tuples(words.map(build), words.map(build))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 8).flatmap(_ops))
+def test_trace_product_is_the_trace_of_the_product(pair):
+    a, b = pair
+    assert a.trace_product(b) == (a @ b).trace()
+    assert a.trace_product(a) == (a @ a).trace()
+
+
 # ---------------------------------------------------------------------------
 # the word map shared by both fiber operator types
 

@@ -81,6 +81,17 @@ def test_curvature_term_matches_the_four_fold_sum(n):
     assert curvature_term(n) == _curvature_term_four_fold(n)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("variant", SQUARE_VARIANTS)
+@pytest.mark.parametrize("dual", [True, False])
+def test_interior_trace_matches_the_trace_of_the_endomorphism(n, variant, dual):
+    """The product-by-product trace against the trace of the formed
+    endomorphism, which stays the reference path."""
+    scalar = Poly.gen(gen_s(), coeff=Fraction(1, 6)) * (1 << n)
+    expected = scalar + build_endomorphism(n, variant, dual).trace()
+    assert interior_trace(n, variant, dual) == expected
+
+
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("variant", ["Dv2", "DvStar2"])
 @pytest.mark.parametrize("dual", [True, False])
