@@ -23,6 +23,7 @@ import math
 import os
 import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -693,14 +694,8 @@ def _run_crosscheck(spec: JobSpec) -> tuple[int, str]:
             live, scenario, spec.left, spec.right, tolerance=spec.tolerance
         )
 
-    workers = thread_cap(spec.scenarios)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(one, range(spec.scenarios)))
-    else:
-        all_rows = [one(i) for i in range(spec.scenarios)]
+    with ThreadPoolExecutor(max_workers=thread_cap(spec.scenarios)) as pool:
+        all_rows = list(pool.map(one, range(spec.scenarios)))
 
     any_fail = False
     entries = []
@@ -797,10 +792,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -17,6 +17,13 @@ bitmap representation of Dorst, Fontijne and Mann, Geometric Algebra for
 Computer Science (2007), ch. 19: the product of two words is a sign
 times one word, and the empty word is the only one with a trace, 2**n.
 
+Each frame action weights the two words c_j and cbar_j of frame index
+j: by (1, 0) for c_j, (0, 1) for cbar_j, (1/2, 1/2) for exterior and
+(-1/2, 1/2) for interior multiplication by the j-th frame covector.
+Component j of a contraction fills only those two words, which no other
+component touches, so action_of writes the operator in one pass with no
+sum; a single generator is the unit-component case.
+
 One word map, _WordMap, holds what does not depend on the coefficient
 ring (sums, negation, equality, the dimension check).  CliffordOp is the
 word map over Poly; rational.MatrixSymbol is the one over RationalXi,
@@ -26,6 +33,7 @@ for symbols in the normal covariable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .exact import (
@@ -35,6 +43,8 @@ from .exact import (
     gen_h,
     gen_v,
     gen_vs,
+    gen_w,
+    gen_ws,
     gen_xi,
     sphere_normal_form,
 )
@@ -212,51 +222,51 @@ class CliffordOp(_WordMap):
 # generators
 
 
-def build_generator(n: int, j: int, kind: str) -> CliffordOp:
-    """One frame generator acting on the fiber.
+# The (c_j, cbar_j) weights of each frame action; see the module docstring.
+_WEIGHTS = {
+    "clifford": (1, 0),
+    "clifford_bar": (0, 1),
+    "exterior": (Fraction(1, 2), Fraction(1, 2)),
+    "interior": (Fraction(-1, 2), Fraction(1, 2)),
+}
 
-    kind is one of "exterior", "interior", "clifford", "clifford_bar".
-    The two Clifford actions are single words; exterior multiplication
-    is (c_j + cbar_j)/2 and interior multiplication, its adjoint,
-    (cbar_j - c_j)/2.
-    """
+
+def build_generator(n: int, j: int, kind: str) -> CliffordOp:
+    """One frame generator acting on the fiber: the action of kind, one of
+    "exterior", "interior", "clifford", "clifford_bar", on the j-th frame
+    covector."""
     if not 1 <= j <= n:
         raise ValueError(f"frame index {j} out of range 1..{n}")
-    bit = 1 << (j - 1)
-    c, cbar = (bit, 0), (0, bit)
-    one = Poly.const(1)
-    half = Poly.const(Fraction(1, 2))
-    if kind == "clifford":
-        words = {c: one}
-    elif kind == "clifford_bar":
-        words = {cbar: one}
-    elif kind == "exterior":
-        words = {c: half, cbar: half}
-    elif kind == "interior":
-        words = {c: -half, cbar: half}
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    return CliffordOp(n, words)
+    return action_of(n, [int(k == j) for k in range(1, n + 1)], kind)
 
 
 def action_of(n: int, components: Sequence, kind: str) -> CliffordOp:
     """Contract frame components with the build_generator family of kind.
 
     components has length n, or n-1 for purely tangential data (the
-    normal slot is then zero).  Entries are Poly or plain scalars.
+    normal slot is then zero).  Entries are Poly or plain scalars.  A bad
+    kind raises ValueError whatever the components.
     """
+    weights = _WEIGHTS.get(kind)
+    if weights is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
     comps = list(components)
     if len(comps) == n - 1:
         comps.append(0)
     if len(comps) != n:
         raise ValueError(f"expected {n} or {n - 1} components, got {len(comps)}")
-    out = CliffordOp.zero(n)
-    for j, comp in enumerate(comps, start=1):
+    w_c, w_cbar = weights
+    words = {}
+    for j, comp in enumerate(comps):
         p = Poly.of(comp)
         if p.is_zero:
             continue
-        out = out + build_generator(n, j, kind).scale(p)
-    return out
+        bit = 1 << j
+        if w_c:
+            words[bit, 0] = p * w_c
+        if w_cbar:
+            words[0, bit] = p * w_cbar
+    return CliffordOp(n, words)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +287,26 @@ def normal_clifford_bar(n: int) -> CliffordOp:
     return build_generator(n, n, "clifford_bar")
 
 
-def drift_interior(n: int) -> CliffordOp:
-    """Interior product with the drift vector field, frame components V(k)."""
-    return action_of(n, [Poly.gen(gen_v(k)) for k in range(1, n + 1)], "interior")
+def drift_action(
+    n: int, kind: str, dual: bool = True, along: int | None = None
+) -> CliffordOp:
+    """Interior product with the drift vector field, or exterior product
+    with its dual covector; with along=j, the same action of the drift's
+    covariant derivative along the j-th frame vector.
 
-
-def drift_exterior(n: int, dual: bool = True) -> CliffordOp:
-    """Exterior product with the dual drift covector.
-
-    Under the dual pairing (the default) its frame components equal those
-    of the drift vector, so the V generators are reused; otherwise the
-    independent VS generators appear.
+    The interior action reads the frame components V(k), or W(j, k).
+    Under the dual pairing (the default) the covector's components are
+    the same, so the exterior action reads them too; with an independent
+    dual (dual=False) it reads VS(k), or WS(j, k).
     """
-    mk = gen_v if dual else gen_vs
-    return action_of(n, [Poly.gen(mk(k)) for k in range(1, n + 1)], "exterior")
+    if kind not in ("interior", "exterior"):
+        raise ValueError(f"unknown drift action {kind!r}")
+    independent = kind == "exterior" and not dual
+    if along is None:
+        mk = gen_vs if independent else gen_v
+    else:
+        mk = partial(gen_ws if independent else gen_w, along)
+    return action_of(n, [Poly.gen(mk(k)) for k in range(1, n + 1)], kind)
 
 
 def build_connection_ops(n: int) -> tuple[CliffordOp, CliffordOp]:

@@ -27,14 +27,8 @@ from itertools import combinations, product
 from math import factorial
 from typing import Iterable, Iterator
 
-from .clifford import (
-    CliffordOp,
-    action_of,
-    build_generator,
-    drift_exterior,
-    drift_interior,
-)
-from .exact import Poly, gen_pi, gen_riemann, gen_s, gen_w, gen_ws
+from .clifford import CliffordOp, build_generator, drift_action
+from .exact import Poly, gen_pi, gen_riemann, gen_s
 
 # (inner, outer) drift kinds of each operator square: the inner action
 # belongs to the right factor, the outer one to the left factor
@@ -51,18 +45,6 @@ def _drift_kinds(variant: str) -> tuple[str, str]:
     if kinds is None:
         raise ValueError(f"unknown square variant {variant!r}")
     return kinds
-
-
-def _drift(n: int, kind: str, dual: bool) -> CliffordOp:
-    """The drift action of the given kind, "interior" or "exterior"."""
-    return drift_interior(n) if kind == "interior" else drift_exterior(n, dual)
-
-
-def _nabla(n: int, j: int, kind: str, dual: bool) -> CliffordOp:
-    """The drift action of the given kind with the drift replaced by its
-    covariant derivative along the j-th frame vector."""
-    mk = gen_ws if kind == "exterior" and not dual else gen_w
-    return action_of(n, [Poly.gen(mk(j, k)) for k in range(1, n + 1)], kind)
 
 
 def curvature_term(n: int) -> CliffordOp:
@@ -97,8 +79,8 @@ def _square_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
     they coincide for the two genuine squares.
     """
     inner, outer = _drift_kinds(variant)
-    left = _drift(n, inner, dual)
-    right = left if outer == inner else _drift(n, outer, dual)
+    left = drift_action(n, inner, dual)
+    right = left if outer == inner else drift_action(n, outer, dual)
     for i in range(1, n + 1):
         c_i = build_generator(n, i, "clifford")
         term = c_i @ left + right @ c_i
@@ -116,8 +98,8 @@ def _gradient_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
     inner, outer = _drift_kinds(variant)
     for j in range(1, n + 1):
         c_j = build_generator(n, j, "clifford")
-        x = _nabla(n, j, outer, dual)
-        y = x if inner == outer else _nabla(n, j, inner, dual)
+        x = drift_action(n, outer, dual, along=j)
+        y = x if inner == outer else drift_action(n, inner, dual, along=j)
         yield Fraction(1, 2), x, c_j
         yield Fraction(-1, 2), c_j, y
 
@@ -131,7 +113,7 @@ def _products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
     yield from _square_products(n, variant, dual)
     yield from _gradient_products(n, variant, dual)
     if variant == "DvStarDv":
-        yield -1, drift_exterior(n, dual), drift_interior(n)
+        yield -1, drift_action(n, "exterior", dual), drift_action(n, "interior")
 
 
 def _sum_products(n: int, products: Iterable[tuple]) -> CliffordOp:

@@ -21,8 +21,7 @@ from functools import reduce
 
 from .clifford import (
     build_connection_ops,
-    drift_exterior,
-    drift_interior,
+    drift_action,
     normal_clifford,
     tangential_clifford,
 )
@@ -95,7 +94,7 @@ def operator_symbols(n: int, variant: str, dual: bool = True) -> Symbol:
     d_tan = c_tan.scale(Poly.gen(gen_h()) * Fraction(1, 2))
     top_dxn = MatrixSymbol.from_clifford(d_tan).scale(i)
     a_op, b_op = build_connection_ops(n)
-    drift = drift_interior(n) if variant == "Dv" else drift_exterior(n, dual)
+    drift = drift_action(n, "interior" if variant == "Dv" else "exterior", dual)
     low = MatrixSymbol.from_clifford(a_op + b_op + drift)
     return Symbol(1, top, top_dxn, low)
 

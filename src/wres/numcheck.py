@@ -58,6 +58,7 @@ from .boundary import CaseReport, CaseTuple
 from .exact import gen_h, gen_omega, gen_pi, gen_v, gen_vs, gen_xi
 
 _POLE_ORDER = 10
+_T_BOUND = 40.0  # line_quad's split point between the finite and tail parts
 _CONTOUR_NODES = 64
 _CONTOUR_RADIUS = 0.5
 
@@ -94,7 +95,6 @@ class NumericScenario:
     h: float
     v: tuple
     vs: tuple
-    t_bound: float = 40.0
     omega: str = "cosphere"
 
     @staticmethod
@@ -425,7 +425,7 @@ def _line_integrals(
             terms[right_op, case.k, case.l],
             case,
         )
-        values.append(line_quad(integrand, scenario.t_bound))
+        values.append(line_quad(integrand, _T_BOUND))
     return values
 
 

@@ -99,6 +99,20 @@ def test_help_exits_zero(capsys):
     assert run_main(capsys, ["--help"])[0] == 0
 
 
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    argv = ["interior", "--dim", "4", "--op", "DvStar2"]
+    first = run_main(capsys, argv + ["--independent-dual"])
+    second = run_main(capsys, argv)
+    assert first[0] == second[0] == 0
+    # a flag given to one call does not carry over to the next
+    assert first[1] != second[1]
+    assert second == run_main(capsys, argv)
+
+
 # ---------------------------------------------------------------------------
 # determinism and formats
 
@@ -583,6 +597,31 @@ def test_interior_output_is_byte_identical_to_capture(capsys, name, settings):
     with open(os.path.join(DATA, name), "rb") as handle:
         want = handle.read()
     assert got_code == 0
+    assert out.encode("utf-8") == want
+
+
+# Captured stdout of boundary tables, with their exit codes: the n=6
+# table disagrees with the reference (exit 1) under the dual pairing.
+BOUNDARY_CAPTURES = [
+    ("boundary-6-Dv-D3.json", 1, "6 Dv D3 json"),
+    ("boundary-6-Dv-D3-independent-dual.json", 0, "6 Dv D3 json --independent-dual"),
+    (
+        "boundary-4-Dv-DvStar-independent-dual.tex",
+        0,
+        "4 Dv DvStar latex --independent-dual",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, code, settings", BOUNDARY_CAPTURES)
+def test_boundary_output_is_byte_identical_to_capture(capsys, name, code, settings):
+    dim, left, right, emit, *flags = settings.split()
+    argv = ["boundary", "--dim", dim, "--left", left, "--right", right]
+    argv += ["--emit", emit, *flags]
+    got_code, out, _ = run_main(capsys, argv)
+    with open(os.path.join(DATA, name), "rb") as handle:
+        want = handle.read()
+    assert got_code == code
     assert out.encode("utf-8") == want
 
 

@@ -14,13 +14,12 @@ from wres.clifford import (
     action_of,
     build_connection_ops,
     build_generator,
-    drift_exterior,
-    drift_interior,
+    drift_action,
     normal_clifford,
     tangential_clifford,
     word_product,
 )
-from wres.exact import GR_ZERO, Poly, gen_h, gen_v, gen_vs, gen_xi
+from wres.exact import GR_ZERO, Poly, gen_h, gen_v, gen_vs, gen_w, gen_ws, gen_xi
 from wres.numcheck import _exterior
 from wres.rational import MatrixSymbol
 
@@ -82,12 +81,12 @@ def test_warp_derivative_trace(n):
 def test_drift_traces_against_clifford(n):
     dim_half = 1 << (n - 1)
     c_nor = normal_clifford(n)
-    interior = drift_interior(n)
+    interior = drift_action(n, "interior")
     # tr[c(dx_n) iota(v)] = 2^(n-1) <v, dx_n>
     assert (c_nor @ interior).trace() == Poly.gen(
         gen_v(n), coeff=Fraction(dim_half)
     )
-    exterior = drift_exterior(n, dual=False)
+    exterior = drift_action(n, "exterior", dual=False)
     # tr[c(dx_n) eps(v*)] = -2^(n-1) <v*, dx_n>
     assert (c_nor @ exterior).trace() == Poly.gen(
         gen_vs(n), coeff=Fraction(-dim_half)
@@ -155,6 +154,123 @@ def test_action_of_accepts_tangential_component_lists():
 def test_action_of_rejects_bad_kind():
     with pytest.raises(ValueError):
         action_of(4, [Poly.const(1)] * 4, "no_such_action")
+
+
+# ---------------------------------------------------------------------------
+# the frame actions against frozen copies of the earlier builders, which
+# summed one scaled generator per component and wrote the drift
+# convention in two places
+
+KINDS = ("clifford", "clifford_bar", "exterior", "interior")
+
+
+def _frozen_build_generator(n, j, kind):
+    if not 1 <= j <= n:
+        raise ValueError(f"frame index {j} out of range 1..{n}")
+    bit = 1 << (j - 1)
+    c, cbar = (bit, 0), (0, bit)
+    one = Poly.const(1)
+    half = Poly.const(Fraction(1, 2))
+    if kind == "clifford":
+        words = {c: one}
+    elif kind == "clifford_bar":
+        words = {cbar: one}
+    elif kind == "exterior":
+        words = {c: half, cbar: half}
+    elif kind == "interior":
+        words = {c: -half, cbar: half}
+    else:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return CliffordOp(n, words)
+
+
+def _frozen_action_of(n, components, kind):
+    comps = list(components)
+    if len(comps) == n - 1:
+        comps.append(0)
+    if len(comps) != n:
+        raise ValueError(f"expected {n} or {n - 1} components, got {len(comps)}")
+    out = CliffordOp.zero(n)
+    for j, comp in enumerate(comps, start=1):
+        p = Poly.of(comp)
+        if p.is_zero:
+            continue
+        out = out + _frozen_build_generator(n, j, kind).scale(p)
+    return out
+
+
+def _frozen_drift_interior(n):
+    return _frozen_action_of(n, [Poly.gen(gen_v(k)) for k in range(1, n + 1)], "interior")
+
+
+def _frozen_drift_exterior(n, dual=True):
+    mk = gen_v if dual else gen_vs
+    return _frozen_action_of(n, [Poly.gen(mk(k)) for k in range(1, n + 1)], "exterior")
+
+
+def _frozen_nabla(n, j, kind, dual):
+    mk = gen_ws if kind == "exterior" and not dual else gen_w
+    return _frozen_action_of(n, [Poly.gen(mk(j, k)) for k in range(1, n + 1)], kind)
+
+
+def _component():
+    """Zeros, ints, Fractions and Polys, some of them zero Polys."""
+    return st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=5),
+        st.tuples(st.integers(1, 8), st.integers(-2, 2)).map(
+            lambda kc: Poly.gen(gen_v(kc[0]), coeff=kc[1])
+        ),
+        st.tuples(st.integers(1, 8), st.integers(1, 3)).map(
+            lambda kc: Poly.gen(gen_xi(kc[0])) * kc[1] + Fraction(1, kc[1])
+        ),
+    )
+
+
+def _action_case(n):
+    comps = st.lists(_component(), min_size=n - 1, max_size=n)
+    return st.tuples(st.just(n), comps, st.sampled_from(KINDS))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 8).flatmap(_action_case))
+def test_action_of_matches_the_summed_generators(case):
+    n, comps, kind = case
+    assert action_of(n, comps, kind) == _frozen_action_of(n, comps, kind)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_generator_matches_the_kind_chain(n):
+    for kind in KINDS:
+        for j in range(1, n + 1):
+            assert build_generator(n, j, kind) == _frozen_build_generator(n, j, kind)
+
+
+def test_frame_actions_keep_their_errors():
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            build_generator(4, bad, "clifford")
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        build_generator(4, 1, "no_such_action")
+    # the earlier sum looked at the kind only for a nonzero component
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        action_of(4, [0, 0, 0], "no_such_action")
+    with pytest.raises(ValueError, match="expected 4 or 3 components, got 2"):
+        action_of(4, [1, 1], "interior")
+    with pytest.raises(ValueError, match="unknown drift action"):
+        drift_action(4, "clifford")
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("dual", [True, False])
+def test_drift_action_matches_the_frozen_builders(n, dual):
+    assert drift_action(n, "interior", dual) == _frozen_drift_interior(n)
+    assert drift_action(n, "exterior", dual) == _frozen_drift_exterior(n, dual)
+    for kind in ("interior", "exterior"):
+        for j in range(1, n + 1):
+            got = drift_action(n, kind, dual, along=j)
+            assert got == _frozen_nabla(n, j, kind, dual)
 
 
 # ---------------------------------------------------------------------------

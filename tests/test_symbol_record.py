@@ -16,8 +16,7 @@ import pytest
 
 from wres.clifford import (
     build_connection_ops,
-    drift_exterior,
-    drift_interior,
+    drift_action,
     normal_clifford,
     tangential_clifford,
 )
@@ -50,7 +49,11 @@ def ref_operator(n, variant, dual):
     d_tan = c_tan.scale(Poly.gen(gen_h()) * Fraction(1, 2))
     dxn = MatrixSymbol.from_clifford(d_tan).scale(RationalXi.const(GR_I))
     a_op, b_op = build_connection_ops(n)
-    drift = drift_interior(n) if variant == "Dv" else drift_exterior(n, dual)
+    drift = (
+        drift_action(n, "interior")
+        if variant == "Dv"
+        else drift_action(n, "exterior", dual)
+    )
     return {
         1: RefJet(value, dxn),
         0: RefJet(MatrixSymbol.from_clifford(a_op + b_op + drift), None),
