@@ -1,9 +1,10 @@
 """Published reference values and discrepancy reporting.
 
 The engine's exact output is the ground truth; hand-derived reference
-values from the literature serve as regression targets.  Each supported
-boundary pair and interior variant carries a frozen expected value, and
-compare functions produce structured discrepancy records whenever the
+values from the literature serve as regression targets: a frozen table
+per boundary pair, and per interior variant a closed form in n, on
+record at every even n except for the independent-dual mixed variant.
+Compare functions produce structured discrepancy records whenever the
 engine output differs.  A discrepancy is not automatically an engine
 bug: published coefficient tables in this genre carry arithmetic slips,
 which is why the numeric oracle exists as the arbiter.

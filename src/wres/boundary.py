@@ -131,14 +131,15 @@ def evaluate_case(
     return CaseReport(case, coeff, trace_integral, contribution)
 
 
-def inverse_pair(
+def boundary_phi(
     n: int, left_op: str, right_op: str, dual: bool = True
-) -> tuple[Symbol, Symbol]:
-    """Inverse symbols of a supported boundary pair, left then right.
+) -> tuple[Poly, list[CaseReport]]:
+    """Boundary term of the projected product of two inverse operators.
 
-    Only the operator pairs with worked reference values are accepted.
-    A pair of one operator inverts it once and reads the same symbols on
-    both sides.
+    Returns the exact total and the per-case breakdown.  Only the
+    operator pairs with worked reference values are accepted.  A pair of
+    one operator inverts it once and reads the same symbols on both
+    sides.
     """
     if (n, left_op, right_op) not in SUPPORTED_PAIRS:
         raise ValueError(
@@ -146,18 +147,6 @@ def inverse_pair(
         )
     left = inverse_symbols(n, left_op, dual)
     right = left if right_op == left_op else inverse_symbols(n, right_op, dual)
-    return left, right
-
-
-def boundary_phi(
-    n: int, left_op: str, right_op: str, dual: bool = True
-) -> tuple[Poly, list[CaseReport]]:
-    """Boundary term of the projected product of two inverse operators.
-
-    Returns the exact total and the per-case breakdown, for the pairs
-    inverse_pair accepts.
-    """
-    left, right = inverse_pair(n, left_op, right_op, dual)
     reports = [
         evaluate_case(case, left, right, n)
         for case in enumerate_cases(n, -left.order, -right.order)

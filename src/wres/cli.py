@@ -36,14 +36,7 @@ from .baselines import (
     compare_total,
     interior_reference,
 )
-from .boundary import (
-    SUPPORTED_PAIRS,
-    CaseTuple,
-    boundary_phi,
-    enumerate_cases,
-    evaluate_case,
-    inverse_pair,
-)
+from .boundary import SUPPORTED_PAIRS, CaseTuple, boundary_phi
 from .clifford import (
     CliffordOp,
     build_generator,
@@ -108,10 +101,10 @@ class Report:
 
 
 def load_job_file(path: str) -> dict:
-    """Parse a job file of `key = value` lines into a string map."""
+    """Parse a UTF-8 job file of `key = value` lines into a string map."""
     values = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("job", f"cannot read job file: {exc}")
@@ -517,19 +510,21 @@ def _meta(spec: JobSpec, operators: list) -> dict:
     }
 
 
+def _emit_table(
+    spec: JobSpec, operators: list, cases: list, total: Poly, discrepancies: list
+) -> tuple[int, str]:
+    """Emit a report of exact values; any discrepancy makes the exit 1."""
+    report = Report(_meta(spec, operators), cases, total, discrepancies)
+    return (1 if discrepancies else 0), emit_report(report, spec.emit)
+
+
 def _run_interior(spec: JobSpec) -> tuple[int, str]:
     total = interior_wres(spec.dim, spec.op, dual=spec.dual)
     discrepancies = []
     expected = interior_reference(spec.dim, spec.op, dual=spec.dual)
     if expected is not None:
         discrepancies = compare_total(total, expected, "interior total")
-    report = Report(
-        meta=_meta(spec, [spec.op]),
-        cases=[],
-        total=total,
-        discrepancies=discrepancies,
-    )
-    return (1 if discrepancies else 0), emit_report(report, spec.emit)
+    return _emit_table(spec, [spec.op], [], total, discrepancies)
 
 
 def _run_boundary(spec: JobSpec) -> tuple[int, str]:
@@ -545,35 +540,23 @@ def _run_boundary(spec: JobSpec) -> tuple[int, str]:
         ref_cases, ref_total = reference
         discrepancies = compare_cases(reports, ref_cases)
         discrepancies += compare_total(total, ref_total, "boundary total")
-    report = Report(
-        meta=_meta(spec, [spec.left, spec.right]),
-        cases=cases,
-        total=total,
-        discrepancies=discrepancies,
-    )
-    return (1 if discrepancies else 0), emit_report(report, spec.emit)
+    return _emit_table(spec, [spec.left, spec.right], cases, total, discrepancies)
 
 
 def _run_case(spec: JobSpec) -> tuple[int, str]:
-    left, right = inverse_pair(
-        spec.dim, spec.left, spec.right, dual=spec.dual
-    )
-    allowed = enumerate_cases(spec.dim, -left.order, -right.order)
+    """One row of the boundary table, with no reference comparison."""
+    _, reports = boundary_phi(spec.dim, spec.left, spec.right, dual=spec.dual)
+    rows = {r.tuple: r.contribution for r in reports}
     case = CaseTuple(*spec.case_tuple)
-    if case not in allowed:
+    if case not in rows:
         raise UsageError(
             "tuple",
             f"{case.as_tuple()} is not a valid case for this pair; "
-            f"valid tuples: {[c.as_tuple() for c in allowed]}",
+            f"valid tuples: {[c.as_tuple() for c in rows]}",
         )
-    result = evaluate_case(case, left, right, spec.dim)
-    report = Report(
-        meta=_meta(spec, [spec.left, spec.right]),
-        cases=[(result.tuple, result.contribution)],
-        total=result.contribution,
-        discrepancies=[],
+    return _emit_table(
+        spec, [spec.left, spec.right], [(case, rows[case])], rows[case], []
     )
-    return 0, emit_report(report, spec.emit)
 
 
 def _identity_checks(spec: JobSpec) -> list:

@@ -80,12 +80,12 @@ def omega_area(d: int) -> float:
 class NumericScenario:
     """One reproducible random evaluation point for the oracle.
 
-    The omega field selects which sphere the symbolic volume refers to
-    when a numeric value is required: the cosphere the directions are
-    actually drawn from, or the ambient unit sphere one dimension up.
-    Exact results carry the volume symbolically, so concordance must
-    hold under either reading; exposing both keeps the oracle honest
-    about that convention without endorsing one.
+    The omega field selects which sphere the symbolic volume OMEGA
+    stands for: the cosphere the directions are drawn from, or the
+    ambient unit sphere one dimension up.  No crosscheck row depends on
+    it, since trace integrals hold no OMEGA; numeric_evaluate_case scales
+    its estimate and, through assignment(), the exact value by it alike,
+    so the choice cannot decide a comparison.
     """
 
     n: int

@@ -357,6 +357,12 @@ def test_job_file_errors_name_the_field(capsys, tmp_path):
     assert code == 2
     assert "usage error: field 'dim'" in err
 
+    # only a whole line is a comment
+    job.write_text("dim = 4 # four\n")
+    code, _, err = run_main(capsys, ["boundary", "--job", str(job)])
+    assert code == 2
+    assert err == "usage error: field 'dim': not an integer: '4 # four'\n"
+
 
 def test_job_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     job = tmp_path / "bad.job"
@@ -365,6 +371,17 @@ def test_job_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "usage error: field 'job'" in err
+
+
+def test_job_file_with_a_byte_order_mark_matches_flags(capsys, tmp_path):
+    job = tmp_path / "bom.job"
+    job.write_bytes(b"\xef\xbb\xbfdim = 4\nleft = Dv\nright = Dv\n")
+    code, from_job, err = run_main(capsys, ["boundary", "--job", str(job)])
+    _, from_flags, _ = run_main(
+        capsys, ["boundary", "--dim", "4", "--left", "Dv", "--right", "Dv"]
+    )
+    assert (code, err) == (0, "")
+    assert from_job == from_flags
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
@@ -387,7 +404,7 @@ def test_non_finite_tolerance_is_a_usage_error(capsys, tmp_path, value):
 
 def test_load_job_file_parses_values(tmp_path):
     job = tmp_path / "run.job"
-    job.write_text("# comment\n\ndim = 6\ntuple = -1,-4,0,0,0\n")
+    job.write_text("# comment\n\n  # indented\ndim = 6\ntuple = -1,-4,0,0,0\n")
     assert load_job_file(str(job)) == {"dim": "6", "tuple": "-1,-4,0,0,0"}
 
 
@@ -580,8 +597,9 @@ def test_crosscheck_output_is_byte_identical_to_capture(
     assert out.encode("utf-8") == want
 
 
-# Captured stdout of interior commands, each of which exits 0.  There is
-# no reference density at n=8, so that run compares against nothing.
+# Captured stdout of interior commands, each of which exits 0.  The mixed
+# variant has no reference density under --independent-dual, so those
+# runs compare against nothing.
 INTERIOR_CAPTURES = [
     (f"interior-6-{op}{suffix}.json", f"6 {op}{flag}")
     for op in ("Dv2", "DvStar2", "DvStarDv")
@@ -600,8 +618,11 @@ def test_interior_output_is_byte_identical_to_capture(capsys, name, settings):
     assert out.encode("utf-8") == want
 
 
-# Captured stdout of boundary tables, with their exit codes: the n=6
-# table disagrees with the reference (exit 1) under the dual pairing.
+# Captured stdout of boundary tables and of single rows of them, with
+# their exit codes: the n=6 table disagrees with the reference (exit 1)
+# under the dual pairing.  The command is the first word of the file
+# name; a `.err` file holds the stderr of a usage error, which prints
+# nothing on stdout.
 BOUNDARY_CAPTURES = [
     ("boundary-6-Dv-D3.json", 1, "6 Dv D3 json"),
     ("boundary-6-Dv-D3-independent-dual.json", 0, "6 Dv D3 json --independent-dual"),
@@ -610,19 +631,33 @@ BOUNDARY_CAPTURES = [
         0,
         "4 Dv DvStar latex --independent-dual",
     ),
+] + [
+    (
+        f"case-6-Dv-D3-tuple_{row.replace(',', '_')}{suffix}.json",
+        0,
+        f"6 Dv D3 json --tuple={row}{flag}",
+    )
+    for row in ("-1,-3,0,0,1", "-1,-3,0,1,0", "-1,-3,1,0,0", "-1,-4,0,0,0", "-2,-3,0,0,0")
+    for suffix, flag in (("", ""), ("-independent-dual", " --independent-dual"))
+] + [
+    ("case-4-Dv-DvStar-tuple_-1_-1_0_1_0.txt", 0, "4 Dv DvStar text --tuple=-1,-1,0,1,0"),
+    ("case-6-Dv-D3-tuple_0_0_0_0_0.err", 2, "6 Dv D3 json --tuple=0,0,0,0,0"),
 ]
 
 
 @pytest.mark.parametrize("name, code, settings", BOUNDARY_CAPTURES)
 def test_boundary_output_is_byte_identical_to_capture(capsys, name, code, settings):
     dim, left, right, emit, *flags = settings.split()
-    argv = ["boundary", "--dim", dim, "--left", left, "--right", right]
+    argv = [name.split("-")[0], "--dim", dim, "--left", left, "--right", right]
     argv += ["--emit", emit, *flags]
-    got_code, out, _ = run_main(capsys, argv)
+    got_code, out, err = run_main(capsys, argv)
     with open(os.path.join(DATA, name), "rb") as handle:
         want = handle.read()
     assert got_code == code
-    assert out.encode("utf-8") == want
+    if name.endswith(".err"):
+        assert (out, err.encode("utf-8")) == ("", want)
+    else:
+        assert (out.encode("utf-8"), err) == (want, "")
 
 
 # ---------------------------------------------------------------------------
