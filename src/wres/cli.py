@@ -13,6 +13,11 @@ timestamps, term order is canonical, and every rational is emitted as an
 exact numerator/denominator string.  Exit status is 0 for a clean run, 1
 when any comparison reports a discrepancy, and 2 for a usage error; usage
 errors always name the offending field.
+
+`run_command(JobSpec(...))` is the one entry to the engine, for the
+command line and for library callers alike: it validates the job, then
+returns `(exit_code, text)`.  Every input the command line rejects with
+exit 2 raises `UsageError` there, with `field_name` naming the field.
 """
 
 from __future__ import annotations
@@ -181,7 +186,7 @@ _FIELDS = {
 
 
 def build_spec(ns: argparse.Namespace) -> JobSpec:
-    """Read each field from its flag, or else from the job file, then validate."""
+    """Read each field from its flag, or else from the job file."""
     job = load_job_file(ns.job) if getattr(ns, "job", None) else {}
     for key in job:
         if key not in _FIELDS:
@@ -193,12 +198,12 @@ def build_spec(ns: argparse.Namespace) -> JobSpec:
             text = job.get(name)
         if text is not None:
             values["case_tuple" if name == "tuple" else name] = read(name, text)
-    spec = JobSpec(command=ns.command, **values)
-    _validate(spec)
-    return spec
+    return JobSpec(command=ns.command, **values)
 
 
 def _validate(spec: JobSpec) -> None:
+    if spec.command not in _COMMANDS:
+        raise UsageError("command", f"unknown command {spec.command!r}")
     if spec.dim % 2 != 0 or spec.dim < 4:
         raise UsageError("dim", f"dimension must be even and >= 4, got {spec.dim}")
     if spec.emit not in _EMITS:
@@ -546,17 +551,18 @@ def _run_boundary(spec: JobSpec) -> tuple[int, str]:
 def _run_case(spec: JobSpec) -> tuple[int, str]:
     """One row of the boundary table, with no reference comparison."""
     _, reports = boundary_phi(spec.dim, spec.left, spec.right, dual=spec.dual)
-    rows = {r.tuple: r.contribution for r in reports}
-    case = CaseTuple(*spec.case_tuple)
+    # Plain tuples, so a library caller's sequence of any length is no row.
+    rows = {r.tuple.as_tuple(): r for r in reports}
+    case = tuple(spec.case_tuple)
     if case not in rows:
         raise UsageError(
             "tuple",
-            f"{case.as_tuple()} is not a valid case for this pair; "
-            f"valid tuples: {[c.as_tuple() for c in rows]}",
+            f"{case} is not a valid case for this pair; "
+            f"valid tuples: {list(rows)}",
         )
-    return _emit_table(
-        spec, [spec.left, spec.right], [(case, rows[case])], rows[case], []
-    )
+    row = rows[case]
+    cases = [(row.tuple, row.contribution)]
+    return _emit_table(spec, [spec.left, spec.right], cases, row.contribution, [])
 
 
 def _identity_checks(spec: JobSpec) -> list:
@@ -740,11 +746,9 @@ _COMMANDS = {
 
 
 def run_command(spec: JobSpec) -> tuple[int, str]:
-    """Execute a resolved job; returns (exit code, output text)."""
-    command = _COMMANDS.get(spec.command)
-    if command is None:
-        raise UsageError("command", f"unknown command {spec.command!r}")
-    return command.run(spec)
+    """Validate a job, then execute it; returns (exit code, output text)."""
+    _validate(spec)
+    return _COMMANDS[spec.command].run(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +788,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        spec = build_spec(ns)
-        code, text = run_command(spec)
+        code, text = run_command(build_spec(ns))
     except UsageError as exc:
         sys.stderr.write(
             f"usage error: field '{exc.field_name}': {exc}\n"

@@ -438,6 +438,3 @@ class MatrixSymbol(_WordMap):
 
     def pi_plus(self) -> "MatrixSymbol":
         return self._map(pi_plus)
-
-    def pi_minus(self) -> "MatrixSymbol":
-        return self._map(pi_minus)

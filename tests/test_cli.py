@@ -67,25 +67,73 @@ def test_discrepancy_exits_one(capsys):
     assert "FAIL" in out
 
 
+# Each bad input as an argv for main and as a JobSpec for run_command, with
+# the field both doors must name.
+_BAD_INPUTS = [
+    (["boundary", "--dim", "5"], dict(command="boundary", dim=5), "dim"),
+    (["boundary", "--dim", "2"], dict(command="boundary", dim=2), "dim"),
+    (
+        ["boundary", "--dim", "4", "--left", "Dv", "--right", "D3"],
+        dict(command="boundary", right="D3"),
+        "operators",
+    ),
+    (
+        ["boundary", "--dim", "6", "--left", "Dv", "--right", "Dv"],
+        dict(command="boundary", dim=6, left="Dv", right="Dv"),
+        "operators",
+    ),
+    (["case", "--dim", "4"], dict(command="case"), "tuple"),
+    (
+        ["case", "--dim", "4", "--tuple", "1,2,3"],
+        dict(command="case", case_tuple=(1, 2, 3)),
+        "tuple",
+    ),
+    (
+        ["case", "--dim", "4", "--tuple", "0,0,0,0,0"],
+        dict(command="case", case_tuple=(0, 0, 0, 0, 0)),
+        "tuple",
+    ),
+    (
+        ["crosscheck", "--dim", "4", "--emit", "latex"],
+        dict(command="crosscheck", emit="latex"),
+        "emit",
+    ),
+    (
+        ["identities", "--emit", "latex"],
+        dict(command="identities", emit="latex"),
+        "emit",
+    ),
+    (["interior", "--op", "Dv3"], dict(command="interior", op="Dv3"), "op"),
+    (["interior", "--op", "bogus"], dict(command="interior", op="bogus"), "op"),
+    (["interior", "--dim", "5"], dict(command="interior", dim=5), "dim"),
+    (
+        ["crosscheck", "--dim", "4", "--tolerance", "-1"],
+        dict(command="crosscheck", tolerance=-1.0),
+        "tolerance",
+    ),
+    (
+        ["crosscheck", "--dim", "4", "--scenarios", "0"],
+        dict(command="crosscheck", scenarios=0),
+        "scenarios",
+    ),
+    (
+        ["crosscheck", "--seed=-1", "--scenarios", "1"],
+        dict(command="crosscheck", seed=-1, scenarios=1),
+        "seed",
+    ),
+]
+
+
 def test_usage_errors_exit_two_and_name_the_field(capsys):
-    checks = [
-        (["boundary", "--dim", "5"], "dim"),
-        (["boundary", "--dim", "2"], "dim"),
-        (["boundary", "--dim", "4", "--left", "Dv", "--right", "D3"], "operators"),
-        (["case", "--dim", "4"], "tuple"),
-        (["case", "--dim", "4", "--tuple", "1,2,3"], "tuple"),
-        (["case", "--dim", "4", "--tuple", "0,0,0,0,0"], "tuple"),
-        (["crosscheck", "--dim", "4", "--emit", "latex"], "emit"),
-        (["identities", "--emit", "latex"], "emit"),
-        (["interior", "--op", "Dv3"], "op"),
-        (["crosscheck", "--dim", "4", "--tolerance", "-1"], "tolerance"),
-        (["crosscheck", "--dim", "4", "--scenarios", "0"], "scenarios"),
-    ]
-    for argv, field in checks:
+    """main and run_command reject each bad input, naming the same field."""
+    for argv, settings, field in _BAD_INPUTS:
         code, out, err = run_main(capsys, argv)
         assert code == 2, argv
         assert f"usage error: field '{field}'" in err, argv
         assert out == ""
+        with pytest.raises(UsageError) as info:
+            run_command(JobSpec(**settings))
+        assert info.value.field_name == field, settings
 
 
 def test_argparse_failures_exit_two(capsys):
@@ -673,5 +721,6 @@ def test_run_command_boundary_spec():
 
 
 def test_run_command_rejects_unknown_command():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError) as info:
         run_command(JobSpec(command="warp"))
+    assert info.value.field_name == "command"

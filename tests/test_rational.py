@@ -484,10 +484,11 @@ def test_matrix_symbol_results_stay_in_sphere_normal_form(n):
         symbols += [inv.top, inv.top_dxn, inv.low]
     results = []
     for s in symbols:
-        results += [-s, s.d_xi_n(), s.pi_plus(), s.pi_minus()]
+        results += [-s, s.d_xi_n(), s.pi_plus(), s - s.pi_plus()]
     for s, t in zip(symbols, symbols[1:] + symbols[:1]):
         product = s @ t
-        results += [product, product.pi_plus(), product.pi_minus(), s + t, s - t]
+        plus = product.pi_plus()
+        results += [product, plus, product - plus, s + t, s - t]
     for result in symbols + results:
         for r in result.words.values():
             for p in r.num:
