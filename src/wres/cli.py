@@ -61,7 +61,6 @@ from .interior import SQUARE_VARIANTS, interior_wres
 from .numcheck import NumericScenario, crosscheck, line_quad
 from .rational import RationalXi, pi_minus, pi_plus, sphere_integrate
 
-_EMITS = ("json", "latex", "text")
 _OMEGAS = ("cosphere", "ambient")
 
 
@@ -122,7 +121,10 @@ def load_job_file(path: str) -> dict:
                 "job", f"line {lineno}: expected `key = value`, got {line!r}"
             )
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise UsageError(key, f"line {lineno}: repeated job file key")
+        values[key] = value.strip()
     return values
 
 
@@ -167,22 +169,35 @@ def _read_case_tuple(field_name: str, text: str) -> tuple | None:
         raise UsageError(field_name, f"non-integer entry in {text!r}")
 
 
-# Every setting, flag or job-file key, with the reader of its text.  The
-# `tuple` key fills JobSpec.case_tuple; `--independent-dual` stores the
-# text "false" under `dual`.
+# Every setting, flag or job-file key, with the reader of its text and the
+# type it reads, which a JobSpec built in code must match.  `tuple` fills
+# JobSpec.case_tuple; `--independent-dual` stores "false" under `dual`.
 _FIELDS = {
-    "dim": _read_int,
-    "left": _read_text,
-    "right": _read_text,
-    "op": _read_text,
-    "emit": _read_text,
-    "dual": _read_bool,
-    "omega": _read_text,
-    "seed": _read_int,
-    "tolerance": _read_float,
-    "scenarios": _read_int,
-    "tuple": _read_case_tuple,
+    "dim": (_read_int, int),
+    "left": (_read_text, str),
+    "right": (_read_text, str),
+    "op": (_read_text, str),
+    "emit": (_read_text, str),
+    "dual": (_read_bool, bool),
+    "omega": (_read_text, str),
+    "seed": (_read_int, int),
+    "tolerance": (_read_float, float),
+    "scenarios": (_read_int, int),
+    "tuple": (_read_case_tuple, tuple),
 }
+
+
+def _has_type(value, kind: type) -> bool:
+    """Whether value has the type a reader returns: a bool is no int, an
+    int serves as a float, a case tuple is None or a tuple or list of ints."""
+    if kind is tuple:
+        return value is None or (
+            isinstance(value, (tuple, list))
+            and all(_has_type(entry, int) for entry in value)
+        )
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
 
 
 def build_spec(ns: argparse.Namespace) -> JobSpec:
@@ -192,7 +207,7 @@ def build_spec(ns: argparse.Namespace) -> JobSpec:
         if key not in _FIELDS:
             raise UsageError(key, "unknown job file key")
     values = {}
-    for name, read in _FIELDS.items():
+    for name, (read, _) in _FIELDS.items():
         text = getattr(ns, name, None)
         if text is None:
             text = job.get(name)
@@ -202,19 +217,24 @@ def build_spec(ns: argparse.Namespace) -> JobSpec:
 
 
 def _validate(spec: JobSpec) -> None:
-    if spec.command not in _COMMANDS:
+    command = _COMMANDS.get(spec.command)
+    if command is None:
         raise UsageError("command", f"unknown command {spec.command!r}")
+    for name, (_, kind) in _FIELDS.items():
+        value = getattr(spec, "case_tuple" if name == "tuple" else name)
+        if not _has_type(value, kind):
+            raise UsageError(name, f"expected {kind.__name__}, got {value!r}")
     if spec.dim % 2 != 0 or spec.dim < 4:
         raise UsageError("dim", f"dimension must be even and >= 4, got {spec.dim}")
-    if spec.emit not in _EMITS:
-        raise UsageError("emit", f"must be one of {_EMITS}, got {spec.emit!r}")
+    if spec.emit not in command.emits:
+        raise UsageError("emit", f"must be one of {command.emits}, got {spec.emit!r}")
     if spec.omega not in _OMEGAS:
         raise UsageError("omega", f"must be one of {_OMEGAS}, got {spec.omega!r}")
-    if spec.command == "interior" and spec.op not in SQUARE_VARIANTS:
+    if "op" in command.flags and spec.op not in SQUARE_VARIANTS:
         raise UsageError(
             "op", f"must be one of {SQUARE_VARIANTS}, got {spec.op!r}"
         )
-    if spec.command in ("boundary", "case", "crosscheck"):
+    if "left" in command.flags:
         key = (spec.dim, spec.left, spec.right)
         if key not in SUPPORTED_PAIRS:
             raise UsageError(
@@ -222,8 +242,8 @@ def _validate(spec: JobSpec) -> None:
                 f"unsupported operator pair {key}; supported pairs are "
                 + ", ".join(str(p) for p in sorted(SUPPORTED_PAIRS)),
             )
-    if spec.command == "case" and spec.case_tuple is None:
-        raise UsageError("tuple", "the case command requires a case tuple")
+    if "tuple" in command.flags and spec.case_tuple is None:
+        raise UsageError("tuple", f"the {spec.command} command requires a case tuple")
     if not (math.isfinite(spec.tolerance) and spec.tolerance > 0):
         raise UsageError(
             "tolerance", f"must be finite and positive, got {spec.tolerance!r}"
@@ -233,8 +253,6 @@ def _validate(spec: JobSpec) -> None:
     # numpy seeds a generator only from a non-negative integer
     if spec.command == "crosscheck" and spec.seed < 0:
         raise UsageError("seed", f"must be non-negative, got {spec.seed}")
-    if spec.command in ("crosscheck", "identities") and spec.emit == "latex":
-        raise UsageError("emit", f"{spec.command} output has no latex form")
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +653,7 @@ def _identity_checks(spec: JobSpec) -> list:
         if plus + pi_minus(f) != f:
             ok = False
     checks.append(("projection-split", ok))
-    quad_value = line_quad(lambda x: 1.0 / (1.0 + x * x) ** 2 + 0.0j, 40.0)
+    quad_value = line_quad(lambda x: 1.0 / (1.0 + x * x) ** 2 + 0.0j)
     checks.append(
         (
             "line-quadrature-reference",
@@ -652,23 +670,23 @@ def _identity_checks(spec: JobSpec) -> list:
     return checks
 
 
-def _run_identities(spec: JobSpec) -> tuple[int, str]:
-    checks = _identity_checks(spec)
-    failed = [name for name, ok in checks if not ok]
+def _emit_rows(spec: JobSpec, operators: list, key: str, rows: list, **extra):
+    """Emit (passed, json entry, text line) rows: in JSON meta, then the
+    extra keys, then the entries under key.  Any failed row exits 1."""
     if spec.emit == "json":
-        payload = {
-            "meta": _meta(spec, ["identities"]),
-            "identities": [
-                {"name": name, "ok": ok} for name, ok in checks
-            ],
-        }
+        entries = [entry for _, entry, _ in rows]
+        payload = {"meta": _meta(spec, operators), **extra, key: entries}
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [
-            ("ok   " if ok else "FAIL ") + name for name, ok in checks
-        ]
+        lines = [("ok   " if ok else "FAIL ") + line for ok, _, line in rows]
         text = "\n".join(lines) + "\n"
-    return (1 if failed else 0), text
+    return (0 if all(ok for ok, _, _ in rows) else 1), text
+
+
+def _run_identities(spec: JobSpec) -> tuple[int, str]:
+    checks = _identity_checks(spec)
+    rows = [(ok, {"name": name, "ok": ok}, name) for name, ok in checks]
+    return _emit_rows(spec, ["identities"], "identities", rows)
 
 
 def _run_crosscheck(spec: JobSpec) -> tuple[int, str]:
@@ -686,61 +704,43 @@ def _run_crosscheck(spec: JobSpec) -> tuple[int, str]:
     with ThreadPoolExecutor(max_workers=thread_cap(spec.scenarios)) as pool:
         all_rows = list(pool.map(one, range(spec.scenarios)))
 
-    any_fail = False
-    entries = []
-    for index, rows in enumerate(all_rows):
-        for row in rows:
-            if not row.passed:
-                any_fail = True
-            entries.append(
-                {
-                    "seed": spec.seed + index,
-                    "case": list(row.case.as_tuple()),
-                    "exact": [row.exact.real, row.exact.imag],
-                    "numeric": [row.numeric.real, row.numeric.imag],
-                    "rel_err": row.rel_err,
-                    "passed": row.passed,
-                    "spurious_imag": row.spurious_imag,
-                }
-            )
-    if spec.emit == "json":
-        payload = {
-            "meta": _meta(spec, [spec.left, spec.right]),
-            "tolerance": spec.tolerance,
-            "rows": entries,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = []
-        for e in entries:
-            status = "ok  " if e["passed"] else "FAIL"
-            lines.append(
-                "{status} seed={seed} case={case} rel_err={rel:.3e}".format(
-                    status=status,
-                    seed=e["seed"],
-                    case=tuple(e["case"]),
-                    rel=e["rel_err"],
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    return (1 if any_fail else 0), text
+    rows = []
+    for seed, checks in enumerate(all_rows, start=spec.seed):
+        for row in checks:
+            entry = {
+                "seed": seed,
+                "case": list(row.case.as_tuple()),
+                "exact": [row.exact.real, row.exact.imag],
+                "numeric": [row.numeric.real, row.numeric.imag],
+                "rel_err": row.rel_err,
+                "passed": row.passed,
+                "spurious_imag": row.spurious_imag,
+            }
+            line = f"seed={seed} case={row.case.as_tuple()} rel_err={row.rel_err:.3e}"
+            rows.append((row.passed, entry, line))
+    operators = [spec.left, spec.right]
+    return _emit_rows(spec, operators, "rows", rows, tolerance=spec.tolerance)
 
 
 class _Command(NamedTuple):
     run: Callable[[JobSpec], tuple[int, str]]
     help: str
     flags: tuple  # besides --dim --emit --omega --independent-dual --job
+    emits: tuple = ("json", "latex", "text")  # the forms --emit accepts
 
 
 _COMMANDS = {
     "interior": _Command(_run_interior, "interior residue density", ("op",)),
     "boundary": _Command(_run_boundary, "boundary case table", ("left", "right")),
     "case": _Command(_run_case, "one boundary case", ("left", "right", "tuple")),
-    "identities": _Command(_run_identities, "deterministic self checks", ("seed",)),
+    "identities": _Command(
+        _run_identities, "deterministic self checks", ("seed",), ("json", "text")
+    ),
     "crosscheck": _Command(
         _run_crosscheck,
         "exact vs numeric verdicts",
         ("left", "right", "seed", "tolerance", "scenarios"),
+        ("json", "text"),
     ),
 }
 

@@ -29,22 +29,24 @@ from typing import Iterable, Iterator
 
 from .clifford import CliffordOp, build_generator, drift_action
 from .exact import Poly, gen_pi, gen_riemann, gen_s
+from .jets import DRIFTS
 
-# (inner, outer) drift kinds of each operator square: the inner action
-# belongs to the right factor, the outer one to the left factor
-_DRIFT_KINDS = {
-    "Dv2": ("interior", "interior"),
-    "DvStar2": ("exterior", "exterior"),
-    "DvStarDv": ("interior", "exterior"),
+# Each operator square as its (left, right) first-order factors.  The
+# right factor's drift action is the inner one, the left factor's outer.
+_SQUARES = {
+    "Dv2": ("Dv", "Dv"),
+    "DvStar2": ("DvStar", "DvStar"),
+    "DvStarDv": ("DvStar", "Dv"),
 }
-SQUARE_VARIANTS = tuple(_DRIFT_KINDS)
+SQUARE_VARIANTS = tuple(_SQUARES)
 
 
 def _drift_kinds(variant: str) -> tuple[str, str]:
-    kinds = _DRIFT_KINDS.get(variant)
-    if kinds is None:
+    factors = _SQUARES.get(variant)
+    if factors is None:
         raise ValueError(f"unknown square variant {variant!r}")
-    return kinds
+    left, right = factors
+    return DRIFTS[right], DRIFTS[left]
 
 
 def curvature_term(n: int) -> CliffordOp:
@@ -107,13 +109,13 @@ def _gradient_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
 def _products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
     """The endomorphism minus its curvature term, as (coeff, left, right)
     triples: the scalar term -s/4, the drift square, the drift gradient
-    and, for the mixed product, -(exterior drift)(interior drift)."""
+    and -(outer drift)(inner drift), which is zero for a genuine square."""
+    inner, outer = _drift_kinds(variant)
     one = CliffordOp.identity(n)
     yield Poly.gen(gen_s(), coeff=Fraction(-1, 4)), one, one
     yield from _square_products(n, variant, dual)
     yield from _gradient_products(n, variant, dual)
-    if variant == "DvStarDv":
-        yield -1, drift_action(n, "exterior", dual), drift_action(n, "interior")
+    yield -1, drift_action(n, outer, dual), drift_action(n, inner, dual)
 
 
 def _sum_products(n: int, products: Iterable[tuple]) -> CliffordOp:
@@ -136,13 +138,11 @@ def drift_gradient_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
 
 def build_endomorphism(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """The endomorphism piece of the chosen Laplacian at the base point."""
-    _drift_kinds(variant)
     return curvature_term(n) + _sum_products(n, _products(n, variant, dual))
 
 
 def interior_trace(n: int, variant: str, dual: bool = True) -> Poly:
     """Fiber trace of s/6 plus the endomorphism, one product at a time."""
-    _drift_kinds(variant)
     out = Poly.gen(gen_s(), coeff=Fraction(1, 6)) * Fraction(1 << n)
     out = out + curvature_term(n).trace()
     for coeff, left, right in _products(n, variant, dual):

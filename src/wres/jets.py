@@ -28,7 +28,9 @@ from .clifford import (
 from .exact import GR_I, GR_MINUS_I, Poly, gen_h
 from .rational import MatrixSymbol, RationalXi
 
-VARIANTS = ("Dv", "DvStar")
+# The drift action in each first-order operator: interior multiplication
+# by the drift, and for the adjoint exterior multiplication by its dual.
+DRIFTS = {"Dv": "interior", "DvStar": "exterior"}
 
 # Each operator as the product of its first-order factors, left to right.
 _FACTORS = {
@@ -75,12 +77,10 @@ def operator_symbols(n: int, variant: str, dual: bool = True) -> Symbol:
     """Symbol of one first-order operator.
 
     Order one is i times the Clifford action of the full covector.
-    Order zero is the connection operators plus the drift action; the
-    drift enters as interior multiplication for the operator itself and
-    as exterior multiplication by the dual covector for its formal
-    adjoint.
+    Order zero is the connection operators plus the drift action that
+    DRIFTS names.
     """
-    if variant not in VARIANTS:
+    if variant not in DRIFTS:
         raise ValueError(f"unknown operator variant {variant!r}")
     c_tan = tangential_clifford(n)
     c_nor = MatrixSymbol.from_clifford(
@@ -94,7 +94,7 @@ def operator_symbols(n: int, variant: str, dual: bool = True) -> Symbol:
     d_tan = c_tan.scale(Poly.gen(gen_h()) * Fraction(1, 2))
     top_dxn = MatrixSymbol.from_clifford(d_tan).scale(i)
     a_op, b_op = build_connection_ops(n)
-    drift = drift_action(n, "interior" if variant == "Dv" else "exterior", dual)
+    drift = drift_action(n, DRIFTS[variant], dual)
     low = MatrixSymbol.from_clifford(a_op + b_op + drift)
     return Symbol(1, top, top_dxn, low)
 

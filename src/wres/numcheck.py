@@ -304,14 +304,14 @@ class PoleExpansion:
     sample stack of shape (nodes, *s).  The fiber's inverse members are
     yielded so, because `@` and `np.linalg.inv` act on stacks.
     `terms[key]` holds the coefficients `(plus, minus)` at the two poles
-    of the member that key reads, each of shape (order, *s).
+    of the member that key reads, each of shape (_POLE_ORDER, *s).
     """
 
-    def __init__(self, members, order: int = _POLE_ORDER):
+    def __init__(self, members):
         plus, minus = (
             {
                 key: coeffs
-                for keys, coeffs in _pole_coefficients(members, pole, order)
+                for keys, coeffs in _pole_coefficients(members, pole, _POLE_ORDER)
                 for key in keys
             }
             for pole in (1j, -1j)
@@ -355,12 +355,12 @@ def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
 # the line integral
 
 
-def line_quad(g, t_bound: float) -> complex:
+def line_quad(g) -> complex:
     """Integral of g over the real line for integrands with quadratic decay.
 
-    The central interval is adaptive quadrature; each tail is mapped to
-    (0, 1/T] by inversion and integrated the same way, so the result is
-    a genuine estimate of the full improper integral.  Real and
+    The central interval [-T, T], T = _T_BOUND, is adaptive quadrature;
+    each tail is mapped to (0, 1/T] by inversion and integrated the same
+    way, so the result estimates the full improper integral.  Real and
     imaginary parts are separate `quad` runs, which bisect alike and so
     ask for largely the same nodes.  All six runs share one table, local
     to the call, from a node x on the real line to g(x), so g runs once
@@ -382,8 +382,8 @@ def line_quad(g, t_bound: float) -> complex:
             lambda x: fn(x).imag, a, b
         )
 
-    total = complex_part(at, -t_bound, t_bound)
-    upper = 1.0 / t_bound
+    total = complex_part(at, -_T_BOUND, _T_BOUND)
+    upper = 1.0 / _T_BOUND
     for sign in (1.0, -1.0):
         total += complex_part(
             lambda t, s=sign: at(s / t) / (t * t), 0.0, upper
@@ -425,7 +425,7 @@ def _line_integrals(
             terms[right_op, case.k, case.l],
             case,
         )
-        values.append(line_quad(integrand, _T_BOUND))
+        values.append(line_quad(integrand))
     return values
 
 

@@ -120,6 +120,20 @@ def test_dim4_tables_match_reference(left_op, right_op, dual):
     assert compare_total(total, ref_total, "boundary total") == []
 
 
+@pytest.mark.parametrize("key", sorted(SUPPORTED_PAIRS))
+@pytest.mark.parametrize("dual", [True, False])
+def test_every_reference_lists_exactly_the_engine_cases(key, dual):
+    """compare_cases reads each engine case from the reference table, so
+    every table on record must list the engine's case tuples; only the
+    independent-dual n = 6 table has none."""
+    reference = boundary_reference(*key, dual)
+    if reference is None:
+        assert (key[0], dual) == (6, False)
+        return
+    _, reports = boundary_phi(*key, dual)
+    assert sorted(r.tuple.as_tuple() for r in reports) == sorted(reference[0])
+
+
 @pytest.mark.parametrize("left_op,right_op", PAIRS_DIM4)
 def test_dim4_contributions_have_no_direction_dependence(left_op, right_op):
     # the cosphere integral must consume every tangential covariable

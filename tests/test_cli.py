@@ -136,6 +136,39 @@ def test_usage_errors_exit_two_and_name_the_field(capsys):
         assert info.value.field_name == field, settings
 
 
+# JobSpec values of a type that no reader of the command line returns, so
+# only a library caller can pass them, with the field each must name.
+_BAD_LIBRARY_TYPES = [
+    (dict(command="interior", dim="4"), "dim"),
+    (dict(command="interior", dual="false", emit="json"), "dual"),
+    (
+        dict(command="crosscheck", left="Dv", right="DvStar", scenarios=1.5),
+        "scenarios",
+    ),
+    (dict(command="boundary", dim=4.0), "dim"),
+    (dict(command="interior", tolerance="x"), "tolerance"),
+    (dict(command="case", case_tuple="-2,-1,0,0,0"), "tuple"),
+    (
+        dict(command="crosscheck", left="Dv", right="DvStar", seed=True, scenarios=1),
+        "seed",
+    ),
+]
+
+
+@pytest.mark.parametrize("settings,field", _BAD_LIBRARY_TYPES)
+def test_run_command_rejects_a_value_of_the_wrong_type(settings, field):
+    with pytest.raises(UsageError) as info:
+        run_command(JobSpec(**settings))
+    assert info.value.field_name == field
+
+
+def test_run_command_accepts_an_int_tolerance_and_a_list_tuple():
+    settings = dict(command="case", emit="json")
+    want = run_command(JobSpec(case_tuple=(-2, -1, 0, 0, 0), **settings))
+    got = run_command(JobSpec(case_tuple=[-2, -1, 0, 0, 0], tolerance=1, **settings))
+    assert got == want
+
+
 def test_argparse_failures_exit_two(capsys):
     code, _, _ = run_main(capsys, ["frobnicate"])
     assert code == 2
@@ -410,6 +443,14 @@ def test_job_file_errors_name_the_field(capsys, tmp_path):
     code, _, err = run_main(capsys, ["boundary", "--job", str(job)])
     assert code == 2
     assert err == "usage error: field 'dim': not an integer: '4 # four'\n"
+
+
+def test_repeated_job_file_key_is_a_usage_error(capsys, tmp_path):
+    job = tmp_path / "run.job"
+    job.write_text("right = D3\ndim = 4\ndim = 6\n")
+    code, out, err = run_main(capsys, ["boundary", "--job", str(job)])
+    assert (code, out) == (2, "")
+    assert err == "usage error: field 'dim': line 3: repeated job file key\n"
 
 
 def test_job_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):

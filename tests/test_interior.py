@@ -20,6 +20,7 @@ from wres.exact import (
 )
 from wres.interior import (
     SQUARE_VARIANTS,
+    _products,
     build_endomorphism,
     curvature_term,
     drift_gradient_term,
@@ -90,6 +91,18 @@ def test_interior_trace_matches_the_trace_of_the_endomorphism(n, variant, dual):
     scalar = Poly.gen(gen_s(), coeff=Fraction(1, 6)) * (1 << n)
     expected = scalar + build_endomorphism(n, variant, dual).trace()
     assert interior_trace(n, variant, dual) == expected
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("variant", ["Dv2", "DvStar2"])
+@pytest.mark.parametrize("dual", [True, False])
+def test_drift_product_vanishes_for_genuine_squares(n, variant, dual):
+    """Every variant ends its products with -(outer drift)(inner drift);
+    for a genuine square that is the zero operator, because interior and
+    exterior multiplication each square to zero."""
+    *_, (coeff, outer, inner) = _products(n, variant, dual)
+    assert coeff == -1
+    assert (outer @ inner).is_zero
 
 
 @pytest.mark.parametrize("n", [4, 6])
