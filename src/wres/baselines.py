@@ -63,6 +63,18 @@ class Discrepancy:
     expected: Poly
 
 
+def _table4(left_drift: Poly, right_drift: Poly) -> dict[tuple, Poly]:
+    """An n=4 case table: the three warp rows every pair shares, then the
+    two rows of order -2, each with the drift term of its factor."""
+    return {
+        (-1, -1, 0, 0, 1): Poly.zero(),
+        (-1, -1, 0, 1, 0): _pho(Fraction(-3, 2)),
+        (-1, -1, 1, 0, 0): _pho(Fraction(3, 2)),
+        (-2, -1, 0, 0, 0): _pho(Fraction(9, 2)) + left_drift,
+        (-1, -2, 0, 0, 0): _pho(Fraction(-9, 2)) + right_drift,
+    }
+
+
 def boundary_reference(
     n: int, left_op: str, right_op: str, dual: bool = True
 ) -> tuple[dict[tuple, Poly], Poly] | None:
@@ -71,42 +83,13 @@ def boundary_reference(
     Returns None when no reference value is on record for the requested
     convention (the independent-dual variants at dimension six).
     """
-    half3 = Fraction(3, 2)
-    half9 = Fraction(9, 2)
+    vs = not dual
     if n == 4 and left_op == "Dv" and right_op == "Dv":
-        cases = {
-            (-1, -1, 0, 0, 1): Poly.zero(),
-            (-1, -1, 0, 1, 0): _pho(-half3),
-            (-1, -1, 1, 0, 0): _pho(half3),
-            (-2, -1, 0, 0, 0): _pho(half9) + _pvo(2, 4),
-            (-1, -2, 0, 0, 0): _pho(-half9) + _pvo(-2, 4),
-        }
-        return cases, Poly.zero()
+        return _table4(_pvo(2, 4), _pvo(-2, 4)), Poly.zero()
     if n == 4 and left_op == "DvStar" and right_op == "DvStar":
-        vs = not dual
-        cases = {
-            (-1, -1, 0, 0, 1): Poly.zero(),
-            (-1, -1, 0, 1, 0): _pho(-half3),
-            (-1, -1, 1, 0, 0): _pho(half3),
-            (-2, -1, 0, 0, 0): _pho(half9) + _pvo(-2, 4, vs),
-            (-1, -2, 0, 0, 0): _pho(-half9) + _pvo(2, 4, vs),
-        }
-        return cases, Poly.zero()
+        return _table4(_pvo(-2, 4, vs), _pvo(2, 4, vs)), Poly.zero()
     if n == 4 and left_op == "Dv" and right_op == "DvStar":
-        vs = not dual
-        cases = {
-            (-1, -1, 0, 0, 1): Poly.zero(),
-            (-1, -1, 0, 1, 0): _pho(-half3),
-            (-1, -1, 1, 0, 0): _pho(half3),
-            (-2, -1, 0, 0, 0): _pho(half9) + _pvo(2, 4),
-            (-1, -2, 0, 0, 0): _pho(-half9) + _pvo(2, 4, vs),
-        }
-        total = (
-            _pvo(4, 4)
-            if dual
-            else _pvo(2, 4) + _pvo(2, 4, True)
-        )
-        return cases, total
+        return _table4(_pvo(2, 4), _pvo(2, 4, vs)), _pvo(2, 4) + _pvo(2, 4, vs)
     if n == 6 and left_op == "Dv" and right_op == "D3":
         if not dual:
             return None
@@ -133,29 +116,21 @@ def interior_reference(n: int, variant: str, dual: bool = True) -> Poly | None:
     of the drift derivatives, which the reference keeps explicit.
     """
     dim = Fraction(1 << n)
-    s_part = Poly.gen(gen_s(), coeff=Fraction(-1, 12)) * dim
-    if variant == "Dv2":
-        drift = Poly.zero()
-        for k in range(1, n + 1):
-            drift = drift + Poly.gen(gen_v(k), 2)
-        trace = s_part + drift * (dim * Fraction(-1, 4))
-    elif variant == "DvStar2":
-        mk = gen_v if dual else gen_vs
-        drift = Poly.zero()
-        for k in range(1, n + 1):
-            drift = drift + Poly.gen(mk(k), 2)
-        trace = s_part + drift * (dim * Fraction(-1, 4))
+    mk = gen_vs if variant == "DvStar2" and not dual else gen_v
+    drift = Poly.zero()
+    for k in range(1, n + 1):
+        drift = drift + Poly.gen(mk(k), 2)
+    trace = Poly.gen(gen_s(), coeff=Fraction(-1, 12)) * dim
+    if variant in ("Dv2", "DvStar2"):
+        trace = trace + drift * (dim * Fraction(-1, 4))
     elif variant == "DvStarDv":
         if not dual:
             return None
-        drift = Poly.zero()
-        for k in range(1, n + 1):
-            drift = drift + Poly.gen(gen_v(k), 2)
         diag = Poly.zero()
         for j in range(1, n + 1):
             diag = diag + Poly.gen(gen_w(j, j))
         trace = (
-            s_part
+            trace
             + drift * (dim * Fraction(n - 3, 4))
             + diag * Fraction(-(1 << (n - 1)))
         )

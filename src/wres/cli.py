@@ -59,7 +59,7 @@ from .exact import (
 )
 from .interior import SQUARE_VARIANTS, interior_wres
 from .numcheck import NumericScenario, crosscheck, line_quad
-from .rational import RationalXi, pi_minus, pi_plus, sphere_integrate
+from .rational import RationalXi, pi_plus, sphere_integrate
 
 _OMEGAS = ("cosphere", "ambient")
 
@@ -217,7 +217,7 @@ def build_spec(ns: argparse.Namespace) -> JobSpec:
 
 
 def _validate(spec: JobSpec) -> None:
-    command = _COMMANDS.get(spec.command)
+    command = _COMMANDS.get(spec.command) if isinstance(spec.command, str) else None
     if command is None:
         raise UsageError("command", f"unknown command {spec.command!r}")
     for name, (_, kind) in _FIELDS.items():
@@ -648,9 +648,8 @@ def _identity_checks(spec: JobSpec) -> list:
         )
         f = RationalXi(coeffs, a, b)
         plus = pi_plus(f)
-        if pi_plus(plus) != plus:
-            ok = False
-        if plus + pi_minus(f) != f:
+        # idempotent, and the remainder keeps no pole at +i
+        if pi_plus(plus) != plus or (f - plus).a != 0:
             ok = False
     checks.append(("projection-split", ok))
     quad_value = line_quad(lambda x: 1.0 / (1.0 + x * x) ** 2 + 0.0j)
@@ -694,9 +693,7 @@ def _run_crosscheck(spec: JobSpec) -> tuple[int, str]:
     live = [r for r in reports if not r.structurally_zero]
 
     def one(index: int):
-        scenario = NumericScenario.draw(
-            spec.dim, spec.seed + index, dual=spec.dual, omega=spec.omega
-        )
+        scenario = NumericScenario.draw(spec.dim, spec.seed + index, dual=spec.dual)
         return crosscheck(
             live, scenario, spec.left, spec.right, tolerance=spec.tolerance
         )

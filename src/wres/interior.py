@@ -73,19 +73,24 @@ def curvature_term(n: int) -> CliffordOp:
     )
 
 
-def _square_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
+def _drift_actions(n: int, variant: str, dual: bool) -> tuple[CliffordOp, CliffordOp]:
+    """The inner and outer drift actions of the variant, one object when
+    the two kinds agree."""
+    inner, outer = _drift_kinds(variant)
+    action = drift_action(n, inner, dual)
+    return action, action if outer == inner else drift_action(n, outer, dual)
+
+
+def _square_products(n: int, inner: CliffordOp, outer: CliffordOp) -> Iterator[tuple]:
     """-(1/4) sum_i (c_i L + R c_i)**2 as (coeff, left, right) triples.
 
     L is the inner drift action of the variant, the one inside the
     operator, and R the outer one, brought in from the left factor;
-    they coincide for the two genuine squares.
+    they are one object for the two genuine squares (_drift_actions).
     """
-    inner, outer = _drift_kinds(variant)
-    left = drift_action(n, inner, dual)
-    right = left if outer == inner else drift_action(n, outer, dual)
     for i in range(1, n + 1):
         c_i = build_generator(n, i, "clifford")
-        term = c_i @ left + right @ c_i
+        term = c_i @ inner + outer @ c_i
         yield Fraction(-1, 4), term, term
 
 
@@ -110,12 +115,12 @@ def _products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
     """The endomorphism minus its curvature term, as (coeff, left, right)
     triples: the scalar term -s/4, the drift square, the drift gradient
     and -(outer drift)(inner drift), which is zero for a genuine square."""
-    inner, outer = _drift_kinds(variant)
+    inner, outer = _drift_actions(n, variant, dual)
     one = CliffordOp.identity(n)
     yield Poly.gen(gen_s(), coeff=Fraction(-1, 4)), one, one
-    yield from _square_products(n, variant, dual)
+    yield from _square_products(n, inner, outer)
     yield from _gradient_products(n, variant, dual)
-    yield -1, drift_action(n, outer, dual), drift_action(n, inner, dual)
+    yield -1, outer, inner
 
 
 def _sum_products(n: int, products: Iterable[tuple]) -> CliffordOp:
@@ -128,7 +133,7 @@ def _sum_products(n: int, products: Iterable[tuple]) -> CliffordOp:
 
 def drift_square_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """-(1/4) sum_i (c_i L + R c_i)**2; see _square_products."""
-    return _sum_products(n, _square_products(n, variant, dual))
+    return _sum_products(n, _square_products(n, *_drift_actions(n, variant, dual)))
 
 
 def drift_gradient_term(n: int, variant: str, dual: bool = True) -> CliffordOp:

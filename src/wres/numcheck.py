@@ -80,27 +80,21 @@ def omega_area(d: int) -> float:
 class NumericScenario:
     """One reproducible random evaluation point for the oracle.
 
-    The omega field selects which sphere the symbolic volume OMEGA
-    stands for: the cosphere the directions are drawn from, or the
-    ambient unit sphere one dimension up.  No crosscheck row depends on
-    it, since trace integrals hold no OMEGA; numeric_evaluate_case scales
-    its estimate and, through assignment(), the exact value by it alike,
-    so the choice cannot decide a comparison.
+    v holds the interior drift components and vs the exterior ones: vs
+    is v itself under the dual pairing, an independent draw of the same
+    size when the dual is independent.  The symbolic volume OMEGA reads
+    the area of the cosphere the directions are drawn from.
     """
 
     n: int
     seed: int
-    dual: bool
     direction: tuple
     h: float
     v: tuple
     vs: tuple
-    omega: str = "cosphere"
 
     @staticmethod
-    def draw(
-        n: int, seed: int, dual: bool = True, omega: str = "cosphere"
-    ) -> "NumericScenario":
+    def draw(n: int, seed: int, dual: bool = True) -> "NumericScenario":
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=n - 1)
         direction = tuple(raw / np.linalg.norm(raw))
@@ -110,22 +104,14 @@ class NumericScenario:
             vs = v
         else:
             vs = tuple(float(x) for x in rng.uniform(-1.0, 1.0, size=n))
-        return NumericScenario(n, seed, dual, direction, h, v, vs, omega=omega)
-
-    def omega_value(self) -> float:
-        """Numeric sphere volume under the chosen interpretation."""
-        if self.omega == "cosphere":
-            return omega_area(self.n - 1)
-        if self.omega == "ambient":
-            return omega_area(self.n)
-        raise ValueError(f"unknown omega interpretation {self.omega!r}")
+        return NumericScenario(n, seed, direction, h, v, vs)
 
     def assignment(self) -> dict:
         """Numeric values for every boundary-relevant generator."""
         out = {
             gen_h(): self.h,
             gen_pi(): math.pi,
-            gen_omega(): self.omega_value(),
+            gen_omega(): omega_area(self.n - 1),
         }
         for i, x in enumerate(self.direction, start=1):
             out[gen_xi(i)] = x
@@ -183,8 +169,7 @@ class NumericFiber:
         self.drift_int = sum(
             x * e.T for x, e in zip(scenario.v, ext)
         )
-        dual_comps = scenario.v if scenario.dual else scenario.vs
-        self.drift_ext = sum(x * e for x, e in zip(dual_comps, ext))
+        self.drift_ext = sum(x * e for x, e in zip(scenario.vs, ext))
 
     def _first_order_symbol(self, variant: str, z) -> tuple:
         """Jet of one first-order operator's symbol at z.
@@ -466,7 +451,7 @@ def numeric_evaluate_case(
         values.append(
             numeric_line_integral(case, sampled, left_op, right_op)
         )
-    area = scenario.omega_value()
+    area = omega_area(d)
     arr = np.array(values)
     estimate = area * arr.mean()
     spread = area * arr.std() / math.sqrt(len(arr))

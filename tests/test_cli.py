@@ -12,6 +12,7 @@ import pytest
 import wres
 import wres.cli as cli
 import wres.jets as jets
+import wres.rational
 from wres.cli import (
     JobSpec,
     UsageError,
@@ -152,6 +153,7 @@ _BAD_LIBRARY_TYPES = [
         dict(command="crosscheck", left="Dv", right="DvStar", seed=True, scenarios=1),
         "seed",
     ),
+    (dict(command=["interior"]), "command"),
 ]
 
 
@@ -368,6 +370,25 @@ def test_identities_command(capsys):
     assert all(entry["ok"] for entry in payload["identities"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crosscheck", "--dim", "4", "--left", "Dv", "--right", "DvStar"]
+        + ["--scenarios", "4", "--seed", "0", "--emit", "json"],
+        ["boundary", "--dim", "4", "--left", "Dv", "--right", "DvStar"]
+        + ["--emit", "json"],
+    ],
+)
+def test_omega_is_recorded_and_changes_nothing_else(capsys, argv):
+    """--omega names the sphere OMEGA stands for; no value reads it."""
+    code, out, err = run_main(capsys, argv)
+    ambient = run_main(capsys, argv + ["--omega", "ambient"])
+    payload = json.loads(out)
+    assert payload["meta"]["omega"] == "cosphere"
+    payload["meta"]["omega"] = "ambient"
+    assert ambient == (code, json.dumps(payload, indent=2) + "\n", err)
+
+
 def test_independent_dual_flag_switches_generators(capsys):
     _, out, _ = run_main(
         capsys,
@@ -570,6 +591,19 @@ def test_bad_value_is_the_same_usage_error_from_flag_or_job_file(
     job = tmp_path / "run.job"
     job.write_text(f"{name} = {value}\n")
     assert run_main(capsys, argv + ["--job", str(job)]) == (2, "", from_flag)
+
+
+def test_identities_fail_a_projection_that_drops_every_pole(capsys, monkeypatch):
+    """A projection to zero is idempotent, but leaves the pole at +i in
+    the remainder."""
+    def zero(f):
+        return wres.rational.RationalXi([])
+
+    monkeypatch.setattr(wres.rational, "pi_plus", zero)
+    monkeypatch.setattr(cli, "pi_plus", zero)
+    code, out, _ = run_main(capsys, ["identities", "--dim", "4"])
+    assert code == 1
+    assert "FAIL projection-split" in out.splitlines()
 
 
 def test_identities_accepts_a_negative_seed(capsys):

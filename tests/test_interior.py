@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
+import wres.interior
 from wres.baselines import compare_total, interior_reference
-from wres.clifford import CliffordOp, build_generator
+from wres.clifford import CliffordOp, build_generator, drift_action
 from wres.exact import (
     Poly,
     gen_pi,
@@ -230,6 +231,27 @@ def test_unknown_variant_rejected():
         build_endomorphism(4, "Dv3")
     with pytest.raises(ValueError):
         drift_square_term(4, "bogus")
+    with pytest.raises(ValueError):
+        interior_reference(4, "bogus")
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize(
+    "variant, kinds", [("Dv2", 1), ("DvStar2", 1), ("DvStarDv", 2)]
+)
+def test_interior_trace_builds_each_drift_action_once(monkeypatch, n, variant, kinds):
+    """Each drift kind the variant reads is built once whole and once
+    along each direction: n + 1 actions for a genuine square, 2n + 2 for
+    the mixed product."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return drift_action(*args, **kwargs)
+
+    monkeypatch.setattr(wres.interior, "drift_action", counted)
+    interior_trace(n, variant)
+    assert len(calls) == kinds * (n + 1)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])

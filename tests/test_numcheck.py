@@ -69,16 +69,6 @@ def test_scenario_assignment_covers_generators():
     assert assignment[gen_omega()] == omega_area(5)
 
 
-def test_scenario_omega_interpretations():
-    cos = NumericScenario.draw(4, 2)
-    amb = NumericScenario.draw(4, 2, omega="ambient")
-    assert math.isclose(cos.omega_value(), omega_area(3), rel_tol=1e-14)
-    assert math.isclose(amb.omega_value(), omega_area(4), rel_tol=1e-14)
-    bad = NumericScenario.draw(4, 2, omega="midpoint")
-    with pytest.raises(ValueError):
-        bad.omega_value()
-
-
 def test_line_quad_reference_integrals():
     got = line_quad(lambda x: 1.0 / (1.0 + x * x))
     assert abs(got - math.pi) < 1e-10
@@ -647,13 +637,11 @@ def test_crosscheck_flags_injected_fault():
     assert all(v for key, v in verdicts.items() if key != (-2, -1, 0, 0, 0))
 
 
-@pytest.mark.parametrize("omega", ["cosphere", "ambient"])
-def test_numeric_case_value_matches_exact_contribution(omega):
+def test_numeric_case_value_matches_exact_contribution():
     """Sphere-averaged numeric case values agree with the exact
-    contribution within the Monte-Carlo error bar, under either reading
-    of the symbolic sphere volume."""
+    contribution within the Monte-Carlo error bar."""
     _, reports = boundary_phi(4, "Dv", "Dv")
-    scenario = NumericScenario.draw(4, 11, omega=omega)
+    scenario = NumericScenario.draw(4, 11)
     target = next(
         r for r in reports if r.tuple.as_tuple() == (-2, -1, 0, 0, 0)
     )
