@@ -50,10 +50,6 @@ def _pvo(coeff, n: int, dual_component: bool = False) -> Poly:
     ) * GaussianRational.of(coeff)
 
 
-def _gr(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
 @dataclass(frozen=True)
 class Discrepancy:
     """One engine-vs-reference mismatch."""
@@ -97,13 +93,16 @@ def boundary_reference(
             (-1, -3, 0, 0, 1): Poly.zero(),
             (-1, -3, 0, 1, 0): _pho(Fraction(-15, 2)),
             (-1, -3, 1, 0, 0): _pho(Fraction(25, 2)),
-            (-1, -4, 0, 0, 0): _pho(_gr(Fraction(-195, 8), Fraction(-41, 8)))
+            (-1, -4, 0, 0, 0): _pho(
+                GaussianRational(Fraction(-195, 8), Fraction(-41, 8))
+            )
             + _pvo(22, 6),
-            (-2, -3, 0, 0, 0): _pho(Fraction(55, 2)) + _pvo(_gr(-4, 9), 6),
+            (-2, -3, 0, 0, 0): _pho(Fraction(55, 2))
+            + _pvo(GaussianRational(-4, 9), 6),
         }
-        total = _pho(_gr(Fraction(65, 8), Fraction(-41, 8))) + _pvo(
-            _gr(18, 9), 6
-        )
+        total = _pho(
+            GaussianRational(Fraction(65, 8), Fraction(-41, 8))
+        ) + _pvo(GaussianRational(18, 9), 6)
         return cases, total
     return None
 

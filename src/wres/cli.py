@@ -56,6 +56,7 @@ from .exact import (
     gen_h,
     gen_omega,
     gen_xi,
+    parse_monomial,
 )
 from .interior import SQUARE_VARIANTS, interior_wres
 from .numcheck import NumericScenario, crosscheck, line_quad
@@ -288,43 +289,12 @@ def _poly_to_json(poly: Poly) -> dict:
     return {"terms": terms}
 
 
-def _parse_generator(text: str):
-    if "(" in text:
-        tag, _, rest = text.partition("(")
-        args = rest.rstrip(")")
-        return (tag,) + tuple(int(a) for a in args.split(","))
-    return (text,)
-
-
-def _parse_monomial(text: str):
-    if text == "1":
-        return ()
-    pairs = []
-    for piece in text.split("*"):
-        if "^" in piece:
-            base, _, exp = piece.partition("^")
-            pairs.append((_parse_generator(base), int(exp)))
-        else:
-            pairs.append((_parse_generator(piece), 1))
-    return tuple(sorted(pairs))
-
-
 def _poly_from_json(data: dict) -> Poly:
     terms = {}
     for term in data["terms"]:
-        coeff = GaussianRational(
-            Fraction(term["re"]), Fraction(term["im"])
-        )
-        terms[_parse_monomial(term["monomial"])] = coeff
+        coeff = GaussianRational(term["re"], term["im"])
+        terms[parse_monomial(term["monomial"])] = coeff
     return Poly(terms)
-
-
-def emit_report(report: Report, emit: str) -> str:
-    if emit == "json":
-        return _emit_json(report)
-    if emit == "latex":
-        return _emit_latex(report)
-    return _emit_text(report)
 
 
 def _emit_json(report: Report) -> str:
@@ -399,51 +369,42 @@ def _latex_coefficient(c: GaussianRational) -> str:
     return f"\\left({re_part}{joiner}{im_part}\\right)"
 
 
+# The LaTeX name of each generator tag a report carries, formatted with
+# the generator's indices; any other tag prints as format_generator does.
+_LATEX_NAMES = {
+    "H": "h'(0)",
+    "PI": "\\pi",
+    "OMEGA": "\\Omega",
+    "S": "s",
+    "V": "\\langle v,e_{{{0}}}\\rangle",
+    "VS": "\\langle v^{{*}},e_{{{0}}}\\rangle",
+    "W": "(\\nabla v)_{{{0}{1}}}",
+    "WS": "(\\nabla v^{{*}})_{{{0}{1}}}",
+}
+
+# V(dim) and VS(dim), the drift components along the normal.
+_LATEX_NORMAL_NAMES = {
+    "V": "\\langle v,dx_n\\rangle",
+    "VS": "\\langle v^{*},\\partial_{n}\\rangle",
+}
+
+# A term's \pi comes first and its \Omega last, the rest in monomial order.
+_LATEX_RANKS = {"PI": 0, "OMEGA": 2}
+
+
 def _latex_generator(gen, dim: int) -> str:
-    tag = gen[0]
-    if tag == "H":
-        return "h'(0)"
-    if tag == "PI":
-        return "\\pi"
-    if tag == "OMEGA":
-        return "\\Omega"
-    if tag == "S":
-        return "s"
-    if tag == "XI":
-        return f"\\xi_{{{gen[1]}}}"
-    if tag == "V":
-        if gen[1] == dim:
-            return "\\langle v,dx_n\\rangle"
-        return f"\\langle v,e_{{{gen[1]}}}\\rangle"
-    if tag == "VS":
-        if gen[1] == dim:
-            return "\\langle v^{*},\\partial_{n}\\rangle"
-        return f"\\langle v^{{*}},e_{{{gen[1]}}}\\rangle"
-    if tag == "W":
-        return f"(\\nabla v)_{{{gen[1]}{gen[2]}}}"
-    if tag == "WS":
-        return f"(\\nabla v^{{*}})_{{{gen[1]}{gen[2]}}}"
-    if tag == "R":
-        return f"R_{{{gen[1]}{gen[2]}{gen[3]}{gen[4]}}}"
-    return format_generator(gen)
+    tag, indices = gen[0], gen[1:]
+    if indices == (dim,) and tag in _LATEX_NORMAL_NAMES:
+        return _LATEX_NORMAL_NAMES[tag]
+    name = _LATEX_NAMES.get(tag)
+    return format_generator(gen) if name is None else name.format(*indices)
 
 
 def _latex_term(monomial, coeff: GaussianRational, dim: int) -> str:
-    pi_parts = []
-    main_parts = []
-    omega_parts = []
-    for gen, exp in monomial:
-        body = _latex_generator(gen, dim)
-        rendered = body if exp == 1 else f"{body}^{{{exp}}}"
-        if gen[0] == "PI":
-            pi_parts.append(rendered)
-        elif gen[0] == "OMEGA":
-            omega_parts.append(rendered)
-        else:
-            main_parts.append(rendered)
-    ordered = pi_parts + main_parts + omega_parts
     symbols = ""
-    for piece in ordered:
+    for gen, exp in sorted(monomial, key=lambda pair: _LATEX_RANKS.get(pair[0][0], 1)):
+        body = _latex_generator(gen, dim)
+        piece = body if exp == 1 else f"{body}^{{{exp}}}"
         if symbols and piece[:1].isalnum():
             symbols += " "
         symbols += piece
@@ -517,6 +478,14 @@ def _emit_text(report: Report) -> str:
     else:
         lines.append("discrepancies: none")
     return "\n".join(lines) + "\n"
+
+
+# Every form a report prints in, by its --emit name.
+_FORMS = {"json": _emit_json, "latex": _emit_latex, "text": _emit_text}
+
+
+def emit_report(report: Report, emit: str) -> str:
+    return _FORMS[emit](report)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +692,7 @@ class _Command(NamedTuple):
     run: Callable[[JobSpec], tuple[int, str]]
     help: str
     flags: tuple  # besides --dim --emit --omega --independent-dual --job
-    emits: tuple = ("json", "latex", "text")  # the forms --emit accepts
+    emits: tuple = tuple(_FORMS)  # the forms --emit accepts
 
 
 _COMMANDS = {

@@ -177,14 +177,7 @@ class CliffordOp(_WordMap):
 
     def scale(self, factor) -> "CliffordOp":
         f = Poly.of(factor)
-        if f.is_zero:
-            return CliffordOp(self.n)
-        out = {}
-        for w, p in self.words.items():
-            q = p * f
-            if not q.is_zero:
-                out[w] = q
-        return CliffordOp(self.n, out)
+        return self._map(lambda p: p * f)
 
     def __matmul__(self, other: "CliffordOp") -> "CliffordOp":
         self._check(other)

@@ -262,6 +262,19 @@ def format_monomial(monomial: Monomial) -> str:
     return "*".join(parts)
 
 
+def parse_monomial(text: str) -> Monomial:
+    """Inverse of format_monomial: the sorted monomial that text names."""
+    if text == "1":
+        return ()
+    pairs = []
+    for piece in text.split("*"):
+        name, _, exp = piece.partition("^")
+        tag, _, args = name.rstrip(")").partition("(")
+        indices = tuple(int(a) for a in args.split(",")) if args else ()
+        pairs.append(((tag,) + indices, int(exp) if exp else 1))
+    return tuple(sorted(pairs))
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

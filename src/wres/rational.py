@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .clifford import EMPTY_WORD, _WordMap, word_product
+from .clifford import EMPTY_WORD, CliffordOp, _WordMap, word_product
 from .exact import (
     GR_I,
     GR_MINUS_I,
@@ -391,10 +391,7 @@ class MatrixSymbol(_WordMap):
 
     @staticmethod
     def identity(n: int, coeff: RationalXi | None = None) -> "MatrixSymbol":
-        c = coeff if coeff is not None else RationalXi.const(1)
-        return MatrixSymbol(n, {EMPTY_WORD: c})._map(
-            lambda r: _on_sphere(r.num, r.a, r.b, n)
-        )
+        return MatrixSymbol.from_clifford(CliffordOp.identity(n), coeff)
 
     @staticmethod
     def from_clifford(op, factor: RationalXi | None = None) -> "MatrixSymbol":

@@ -4,13 +4,16 @@ job files, and the thread cap."""
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import wres
 import wres.cli as cli
+import wres.clifford
 import wres.jets as jets
 import wres.rational
 from wres.cli import (
@@ -24,7 +27,20 @@ from wres.cli import (
     run_command,
     thread_cap,
 )
-from wres.exact import Poly
+from wres.exact import (
+    GR_I,
+    GaussianRational,
+    Poly,
+    gen_h,
+    gen_pi,
+    gen_s,
+    gen_v,
+    gen_ws,
+    gen_xi,
+)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_main(capsys, argv):
@@ -95,6 +111,11 @@ _BAD_INPUTS = [
         "tuple",
     ),
     (
+        ["case", "--dim", "4", "--tuple=-1,x,0,0,0"],
+        dict(command="case", case_tuple=(-1, "x", 0, 0, 0)),
+        "tuple",
+    ),
+    (
         ["crosscheck", "--dim", "4", "--emit", "latex"],
         dict(command="crosscheck", emit="latex"),
         "emit",
@@ -104,6 +125,7 @@ _BAD_INPUTS = [
         dict(command="identities", emit="latex"),
         "emit",
     ),
+    (["interior", "--emit", "yaml"], dict(command="interior", emit="yaml"), "emit"),
     (["interior", "--op", "Dv3"], dict(command="interior", op="Dv3"), "op"),
     (["interior", "--op", "bogus"], dict(command="interior", op="bogus"), "op"),
     (["interior", "--dim", "5"], dict(command="interior", dim=5), "dim"),
@@ -249,11 +271,19 @@ def test_crosscheck_json_is_byte_deterministic(capsys):
     assert len(payload["rows"]) == 8
 
 
-def test_json_report_round_trips(capsys):
-    _, out, _ = run_main(
-        capsys,
-        ["boundary", "--dim", "4", "--left", "Dv", "--right", "Dv", "--emit", "json"],
-    )
+# Every captured json report: boundary tables, their rows and interior
+# densities, with discrepancies and exponents among them.
+REPORT_CAPTURES = sorted(
+    name
+    for name in os.listdir(DATA)
+    if name.endswith(".json") and name.split("-")[0] in ("boundary", "case", "interior")
+)
+
+
+@pytest.mark.parametrize("name", REPORT_CAPTURES)
+def test_json_report_round_trips(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as handle:
+        out = handle.read()
     report = parse_report(out)
     assert emit_report(report, "json") == out
     again = parse_report(emit_report(report, "json"))
@@ -326,6 +356,24 @@ def test_latex_zero_and_structural_case(capsys):
         ],
     )
     assert "% case (-1, -1, 0, 0, 1)\n0\n" in out
+
+
+def test_latex_poly_renders_each_coefficient_shape():
+    """A constant, coefficients 1 and -1 and imaginary ones, with no
+    common sphere volume to factor."""
+    poly = (
+        Poly.const(Fraction(-3, 2))
+        - Poly.gen(gen_h()) * Poly.gen(gen_pi(), 2)
+        + Poly.gen(gen_s())
+        + Poly.gen(gen_v(1), coeff=GR_I)
+        + Poly.gen(gen_ws(4, 2), coeff=GaussianRational(0, Fraction(-1, 3)))
+    )
+    assert latex_poly(poly, 4) == (
+        r"-\frac{3}{2}-\pi^{2} h'(0)+s+1i\langle v,e_{1}\rangle"
+        r"-\frac{1}{3}i(\nabla v^{*})_{42}"
+    )
+    # a tag that no report carries keeps its text form
+    assert latex_poly(Poly.gen(gen_xi(1)), 4) == "XI(1)"
 
 
 def test_interior_commands(capsys):
@@ -459,11 +507,24 @@ def test_job_file_errors_name_the_field(capsys, tmp_path):
     assert code == 2
     assert "usage error: field 'dim'" in err
 
+    job.write_text("dual = maybe\n")
+    code, _, err = run_main(capsys, ["boundary", "--job", str(job)])
+    assert code == 2
+    assert err == "usage error: field 'dual': expected a boolean, got 'maybe'\n"
+
     # only a whole line is a comment
     job.write_text("dim = 4 # four\n")
     code, _, err = run_main(capsys, ["boundary", "--job", str(job)])
     assert code == 2
     assert err == "usage error: field 'dim': not an integer: '4 # four'\n"
+
+
+def test_job_file_dual_yes_is_the_default_convention(capsys, tmp_path):
+    job = tmp_path / "run.job"
+    job.write_text("dual = yes\n")
+    code, from_job, err = run_main(capsys, ["boundary", "--job", str(job)])
+    assert (code, err) == (0, "")
+    assert from_job == run_main(capsys, ["boundary"])[1]
 
 
 def test_repeated_job_file_key_is_a_usage_error(capsys, tmp_path):
@@ -606,27 +667,57 @@ def test_identities_fail_a_projection_that_drops_every_pole(capsys, monkeypatch)
     assert "FAIL projection-split" in out.splitlines()
 
 
+def test_identities_fail_clifford_generators_that_commute(capsys, monkeypatch):
+    """With every word product's sign +1, c_j c_j is +1, so the
+    anticommutator of c_j with itself is 2 instead of -2."""
+    word_product = wres.clifford.word_product
+
+    def unsigned(u, v):
+        return 1, word_product(u, v)[1]
+
+    monkeypatch.setattr(wres.clifford, "word_product", unsigned)
+    code, out, _ = run_main(capsys, ["identities", "--dim", "4"])
+    assert code == 1
+    assert "FAIL clifford-anticommutators" in out.splitlines()
+
+
 def test_identities_accepts_a_negative_seed(capsys):
     code, out, _ = run_main(capsys, ["identities", "--dim=4", "--seed=-1"])
     assert code == 0
     assert "FAIL" not in out
 
 
-def test_readme_lists_every_job_file_key():
+def _readme() -> str:
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as handle:
-        text = handle.read()
-    listed = text.split("Recognized keys:", 1)[1].split(".", 1)[0]
+        return handle.read()
+
+
+def test_readme_lists_every_job_file_key():
+    listed = _readme().split("Recognized keys:", 1)[1].split(".", 1)[0]
     assert re.findall(r"`([^`]+)`", listed) == list(cli._FIELDS)
 
 
-
 def test_readme_spells_the_factors_of_d3():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as handle:
-        text = " ".join(handle.read().split())
+    text = " ".join(_readme().split())
     product = " ".join(f.replace("Star", "*") for f in jets._FACTORS["D3"])
     assert f"`D3` is the third-order product `{product}`" in text
+
+
+def test_readme_shows_what_the_commands_print(capsys):
+    """Each indented `$ wres ...` block is that command's stdout, and the
+    quoted dimension-six discrepancies are lines of the n=6 table."""
+    text = _readme()
+    blocks = re.findall(r"^    \$ wres (.*)\n((?:    .*\n)*)", text, re.M)
+    assert len(blocks) == 2
+    for argv, shown in blocks:
+        _, out, _ = run_main(capsys, shlex.split(argv))
+        assert out == "".join(line[4:] + "\n" for line in shown.splitlines())
+    quoted = re.findall(r"^    (DISCREPANCY .*)$", text, re.M)
+    assert len(quoted) == 3
+    with open(os.path.join(DATA, "boundary-6-Dv-D3.txt"), encoding="utf-8") as handle:
+        assert set(quoted) <= set(handle.read().splitlines())
+
 
 # ---------------------------------------------------------------------------
 # thread cap
@@ -684,8 +775,6 @@ def test_bad_thread_cap_is_a_usage_error(capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # oracle output bytes
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
 # Captured stdout of crosscheck commands, with their exit codes.  The
 # oracle's floats print with every digit, so a change in its order of
 # arithmetic shows here even when it stays inside any tolerance.
@@ -720,20 +809,37 @@ def test_crosscheck_output_is_byte_identical_to_capture(
     assert out.encode("utf-8") == want
 
 
-# Captured stdout of interior commands, each of which exits 0.  The mixed
-# variant has no reference density under --independent-dual, so those
-# runs compare against nothing.
+# Captured stdout of interior commands, each of which exits 0, with the
+# form each prints.  The mixed variant has no reference density under
+# --independent-dual, so those runs compare against nothing.  A test id
+# is the file name and the settings, as the extension names the form.
 INTERIOR_CAPTURES = [
-    (f"interior-6-{op}{suffix}.json", f"6 {op}{flag}")
+    (f"interior-6-{op}{suffix}.json", "json", f"6 {op}{flag}")
     for op in ("Dv2", "DvStar2", "DvStarDv")
     for suffix, flag in (("", ""), ("-independent-dual", " --independent-dual"))
-] + [("interior-8-DvStarDv-independent-dual.json", "8 DvStarDv --independent-dual")]
+] + [
+    (
+        "interior-8-DvStarDv-independent-dual.json",
+        "json",
+        "8 DvStarDv --independent-dual",
+    ),
+    ("interior-6-DvStarDv.tex", "latex", "6 DvStarDv"),
+    (
+        "interior-6-DvStarDv-independent-dual.tex",
+        "latex",
+        "6 DvStarDv --independent-dual",
+    ),
+]
 
 
-@pytest.mark.parametrize("name, settings", INTERIOR_CAPTURES)
-def test_interior_output_is_byte_identical_to_capture(capsys, name, settings):
+@pytest.mark.parametrize(
+    "name, emit, settings",
+    INTERIOR_CAPTURES,
+    ids=[f"{name}-{settings}" for name, _, settings in INTERIOR_CAPTURES],
+)
+def test_interior_output_is_byte_identical_to_capture(capsys, name, emit, settings):
     dim, op, *flags = settings.split()
-    argv = ["interior", "--dim", dim, "--op", op, "--emit", "json", *flags]
+    argv = ["interior", "--dim", dim, "--op", op, "--emit", emit, *flags]
     got_code, out, _ = run_main(capsys, argv)
     with open(os.path.join(DATA, name), "rb") as handle:
         want = handle.read()
@@ -743,11 +849,13 @@ def test_interior_output_is_byte_identical_to_capture(capsys, name, settings):
 
 # Captured stdout of boundary tables and of single rows of them, with
 # their exit codes: the n=6 table disagrees with the reference (exit 1)
-# under the dual pairing.  The command is the first word of the file
-# name; a `.err` file holds the stderr of a usage error, which prints
-# nothing on stdout.
+# under the dual pairing, and prints its discrepancies in every form.
+# The command is the first word of the file name; a `.err` file holds
+# the stderr of a usage error, which prints nothing on stdout.
 BOUNDARY_CAPTURES = [
     ("boundary-6-Dv-D3.json", 1, "6 Dv D3 json"),
+    ("boundary-6-Dv-D3.txt", 1, "6 Dv D3 text"),
+    ("boundary-6-Dv-D3.tex", 1, "6 Dv D3 latex"),
     ("boundary-6-Dv-D3-independent-dual.json", 0, "6 Dv D3 json --independent-dual"),
     (
         "boundary-4-Dv-DvStar-independent-dual.tex",

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wres.exact import (
@@ -24,6 +24,7 @@ from wres.exact import (
     gen_vs,
     gen_w,
     gen_xi,
+    parse_monomial,
     sphere_normal_form,
 )
 
@@ -228,6 +229,25 @@ def test_generator_formatting():
 def test_monomial_formatting():
     assert format_monomial(()) == "1"
     assert format_monomial(((gen_h(), 1), (gen_xi(2), 3))) == "H*XI(2)^3"
+
+
+_index = st.integers(0, 12)
+
+# Generators with no index and with one, two and four indices.
+_generators = st.one_of(
+    st.sampled_from([gen_h(), gen_s(), gen_pi(), gen_omega()]),
+    st.tuples(st.sampled_from(["XI", "V", "VS"]), _index),
+    st.tuples(st.sampled_from(["W", "WS"]), _index, _index),
+    st.tuples(st.just("R"), _index, _index, _index, _index),
+)
+
+
+@example({})
+@example({gen_xi(2): 3, ("R", 1, 2, 1, 2): 1})
+@given(st.dictionaries(_generators, st.integers(1, 6), max_size=5))
+def test_parse_monomial_inverts_format_monomial(exponents):
+    monomial = tuple(sorted(exponents.items()))
+    assert parse_monomial(format_monomial(monomial)) == monomial
 
 
 def _frozen_text_poly(poly):

@@ -666,7 +666,8 @@ def test_sphere_moment_mc_matches_exact_moments():
 def test_oracle_imports_no_engine_code():
     """The oracle stays independent of the engine: it takes only the case
     types it reports on and the generator names of the exact assignment."""
-    tree = ast.parse(open(numcheck.__file__).read())
+    with open(numcheck.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
