@@ -76,8 +76,8 @@ def boundary_reference(
 ) -> tuple[dict[tuple, Poly], Poly] | None:
     """Expected per-case contributions and total for a boundary pair.
 
-    Returns None when no reference value is on record for the requested
-    convention (the independent-dual variants at dimension six).
+    Returns None when no reference value is on record for the pair in the
+    requested convention (the independent-dual variants at dimension six).
     """
     vs = not dual
     if n == 4 and left_op == "Dv" and right_op == "Dv":

@@ -358,15 +358,14 @@ def _latex_fraction(x: Fraction) -> str:
 
 
 def _latex_coefficient(c: GaussianRational) -> str:
+    """A coefficient in LaTeX; a unit imaginary part prints as i, not 1i."""
     if c.im == 0:
         return _latex_fraction(c.re)
+    sign = "-" if c.im < 0 else ""
+    im_part = "i" if abs(c.im) == 1 else _latex_fraction(abs(c.im)) + "i"
     if c.re == 0:
-        body = _latex_fraction(c.im)
-        return body + "i"
-    re_part = _latex_fraction(c.re)
-    im_part = _latex_fraction(abs(c.im)) + "i"
-    joiner = "-" if c.im < 0 else "+"
-    return f"\\left({re_part}{joiner}{im_part}\\right)"
+        return sign + im_part
+    return f"\\left({_latex_fraction(c.re)}{sign or '+'}{im_part}\\right)"
 
 
 # The LaTeX name of each generator tag a report carries, formatted with
@@ -552,90 +551,65 @@ def _run_case(spec: JobSpec) -> tuple[int, str]:
     return _emit_table(spec, [spec.left, spec.right], cases, row.contribution, [])
 
 
-def _identity_checks(spec: JobSpec) -> list:
-    n = spec.dim
-    checks = []
-    clifford = [build_generator(n, j, "clifford") for j in range(1, n + 1)]
-    clifford_bar = [
-        build_generator(n, j, "clifford_bar") for j in range(1, n + 1)
-    ]
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            delta = -2 if i == j else 0
-            anti = clifford[i] @ clifford[j] + clifford[j] @ clifford[i]
-            if anti != CliffordOp.identity(n, delta):
-                ok = False
-            anti_bar = (
-                clifford_bar[i] @ clifford_bar[j]
-                + clifford_bar[j] @ clifford_bar[i]
-            )
-            if anti_bar != CliffordOp.identity(n, -delta):
-                ok = False
-            mixed = clifford[i] @ clifford_bar[j] + clifford_bar[j] @ clifford[i]
-            if not mixed.is_zero:
-                ok = False
-    checks.append(("clifford-anticommutators", ok))
-    dim_poly = Poly.const(Fraction(1 << n))
-    checks.append(
-        ("fiber-trace-dimension", CliffordOp.identity(n).trace() == dim_poly)
-    )
-    c_nor = normal_clifford(n)
-    checks.append(
-        (
-            "normal-clifford-square-trace",
-            (c_nor @ c_nor).trace() == Poly.const(Fraction(-(1 << n))),
-        )
-    )
-    c_tan = tangential_clifford(n)
-    checks.append(
-        (
-            "tangential-clifford-square-trace",
-            (c_tan @ c_tan).trace_on_sphere()
-            == Poly.const(Fraction(-(1 << n))),
-        )
-    )
-    checks.append(
-        ("mixed-clifford-trace", (c_tan @ c_nor).trace() == Poly.zero())
-    )
-    warped = c_tan.scale(Poly.gen(gen_h(), coeff=Fraction(1, 2)))
-    expected_warp = Poly.gen(gen_h(), coeff=Fraction(-(1 << (n - 1))))
-    checks.append(
-        (
-            "warp-derivative-trace",
-            (warped @ c_tan).trace_on_sphere() == expected_warp,
-        )
-    )
-    ok = True
-    rng = random.Random(spec.seed)
+def _projection_splits(seed: int) -> bool:
+    """pi_plus on 20 seeded proper rationals is idempotent, and the
+    remainder f - pi_plus(f) keeps no pole at +i."""
+    rng = random.Random(seed)
     for _ in range(20):
         a = rng.randint(1, 3)
         b = rng.randint(1, 3)
         deg = rng.randint(0, a + b - 1)
-        coeffs = tuple(
-            Poly.const(Fraction(rng.randint(-9, 9))) for _ in range(deg + 1)
-        )
+        coeffs = [Poly.const(Fraction(rng.randint(-9, 9))) for _ in range(deg + 1)]
         f = RationalXi(coeffs, a, b)
         plus = pi_plus(f)
-        # idempotent, and the remainder keeps no pole at +i
         if pi_plus(plus) != plus or (f - plus).a != 0:
-            ok = False
-    checks.append(("projection-split", ok))
-    quad_value = line_quad(lambda x: 1.0 / (1.0 + x * x) ** 2 + 0.0j)
-    checks.append(
+            return False
+    return True
+
+
+def _identity_checks(spec: JobSpec) -> list:
+    """The (name, passed) rows of the identities command, in report order."""
+    n = spec.dim
+    # Each generator with {a, a} = 2 a^2: c_j squares to -1, cbar_j to +1,
+    # and distinct generators anticommute.
+    gens = [(build_generator(n, j, "clifford"), -2) for j in range(1, n + 1)]
+    gens += [(build_generator(n, j, "clifford_bar"), 2) for j in range(1, n + 1)]
+    fiber = Poly.const(1 << n)
+    half_h = Poly.gen(gen_h(), coeff=Fraction(1, 2))
+    c_nor, c_tan = normal_clifford(n), tangential_clifford(n)
+    return [
+        (
+            "clifford-anticommutators",
+            all(
+                a @ b + b @ a == CliffordOp.identity(n, square if i == k else 0)
+                for i, (a, square) in enumerate(gens)
+                for k, (b, _) in enumerate(gens)
+                if i <= k
+            ),
+        ),
+        ("fiber-trace-dimension", CliffordOp.identity(n).trace() == fiber),
+        ("normal-clifford-square-trace", (c_nor @ c_nor).trace() == -fiber),
+        (
+            "tangential-clifford-square-trace",
+            (c_tan @ c_tan).trace_on_sphere() == -fiber,
+        ),
+        ("mixed-clifford-trace", (c_tan @ c_nor).trace().is_zero),
+        (
+            "warp-derivative-trace",
+            (c_tan.scale(half_h) @ c_tan).trace_on_sphere() == -fiber * half_h,
+        ),
+        ("projection-split", _projection_splits(spec.seed)),
         (
             "line-quadrature-reference",
-            abs(quad_value - math.pi / 2.0) < 1e-10,
-        )
-    )
-    second = sphere_integrate(
-        Poly.gen(gen_xi(1)) * Poly.gen(gen_xi(1)), n
-    )
-    expected_second = Poly.gen(gen_omega(), coeff=Fraction(1, n - 1))
-    checks.append(("sphere-second-moment", second == expected_second))
-    first = sphere_integrate(Poly.gen(gen_xi(1)), n)
-    checks.append(("sphere-odd-moment", first == Poly.zero()))
-    return checks
+            abs(line_quad(lambda x: 1 / (1 + x * x) ** 2 + 0j) - math.pi / 2) < 1e-10,
+        ),
+        (
+            "sphere-second-moment",
+            sphere_integrate(Poly.gen(gen_xi(1), 2), n)
+            == Poly.gen(gen_omega(), coeff=Fraction(1, n - 1)),
+        ),
+        ("sphere-odd-moment", sphere_integrate(Poly.gen(gen_xi(1)), n).is_zero),
+    ]
 
 
 def _emit_rows(spec: JobSpec, operators: list, key: str, rows: list, **extra):

@@ -263,7 +263,9 @@ def format_monomial(monomial: Monomial) -> str:
 
 
 def parse_monomial(text: str) -> Monomial:
-    """Inverse of format_monomial: the sorted monomial that text names."""
+    """Inverse of format_monomial: the sorted monomial that text names.
+
+    Raises ValueError on any text that format_monomial does not write."""
     if text == "1":
         return ()
     pairs = []
@@ -272,7 +274,14 @@ def parse_monomial(text: str) -> Monomial:
         tag, _, args = name.rstrip(")").partition("(")
         indices = tuple(int(a) for a in args.split(",")) if args else ()
         pairs.append(((tag,) + indices, int(exp) if exp else 1))
-    return tuple(sorted(pairs))
+    monomial = tuple(sorted(pairs))
+    if (
+        format_monomial(monomial) != text
+        or len({gen for gen, _ in monomial}) != len(monomial)
+        or any(exp < 1 or not gen[0] for gen, exp in monomial)
+    ):
+        raise ValueError(f"not a monomial as format_monomial writes it: {text!r}")
+    return monomial
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,6 @@ _SQUARES = {
 SQUARE_VARIANTS = tuple(_SQUARES)
 
 
-def _drift_kinds(variant: str) -> tuple[str, str]:
-    factors = _SQUARES.get(variant)
-    if factors is None:
-        raise ValueError(f"unknown square variant {variant!r}")
-    left, right = factors
-    return DRIFTS[right], DRIFTS[left]
-
-
 def curvature_term(n: int) -> CliffordOp:
     """(1/8) sum R_ijkl cbar_i cbar_j c_k c_l over all index tuples.
 
@@ -73,12 +65,17 @@ def curvature_term(n: int) -> CliffordOp:
     )
 
 
-def _drift_actions(n: int, variant: str, dual: bool) -> tuple[CliffordOp, CliffordOp]:
-    """The inner and outer drift actions of the variant, one object when
-    the two kinds agree."""
-    inner, outer = _drift_kinds(variant)
-    action = drift_action(n, inner, dual)
-    return action, action if outer == inner else drift_action(n, outer, dual)
+def _drift_actions(
+    n: int, variant: str, dual: bool, along: int | None = None
+) -> tuple[CliffordOp, CliffordOp]:
+    """The inner and outer drift actions of the variant, or with along=j
+    those of the drift's derivative along e_j; one object if they agree."""
+    if variant not in _SQUARES:
+        raise ValueError(f"unknown square variant {variant!r}")
+    left, right = _SQUARES[variant]
+    inner, outer = DRIFTS[right], DRIFTS[left]
+    action = drift_action(n, inner, dual, along)
+    return action, action if outer == inner else drift_action(n, outer, dual, along)
 
 
 def _square_products(n: int, inner: CliffordOp, outer: CliffordOp) -> Iterator[tuple]:
@@ -102,13 +99,11 @@ def _gradient_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
     interior for the operator square, exterior for the adjoint square,
     and exterior against interior for the mixed product.
     """
-    inner, outer = _drift_kinds(variant)
     for j in range(1, n + 1):
         c_j = build_generator(n, j, "clifford")
-        x = drift_action(n, outer, dual, along=j)
-        y = x if inner == outer else drift_action(n, inner, dual, along=j)
-        yield Fraction(1, 2), x, c_j
-        yield Fraction(-1, 2), c_j, y
+        inner, outer = _drift_actions(n, variant, dual, along=j)
+        yield Fraction(1, 2), outer, c_j
+        yield Fraction(-1, 2), c_j, inner
 
 
 def _products(n: int, variant: str, dual: bool) -> Iterator[tuple]:

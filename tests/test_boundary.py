@@ -134,6 +134,10 @@ def test_every_reference_lists_exactly_the_engine_cases(key, dual):
     assert sorted(r.tuple.as_tuple() for r in reports) == sorted(reference[0])
 
 
+def test_an_unsupported_pair_has_no_reference():
+    assert boundary_reference(6, "Dv", "Dv") is None
+
+
 @pytest.mark.parametrize("left_op,right_op", PAIRS_DIM4)
 def test_dim4_contributions_have_no_direction_dependence(left_op, right_op):
     # the cosphere integral must consume every tangential covariable

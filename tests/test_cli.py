@@ -111,6 +111,11 @@ _BAD_INPUTS = [
         "tuple",
     ),
     (
+        ["case", "--dim", "4", "--tuple="],
+        dict(command="case", case_tuple=None),
+        "tuple",
+    ),
+    (
         ["case", "--dim", "4", "--tuple=-1,x,0,0,0"],
         dict(command="case", case_tuple=(-1, "x", 0, 0, 0)),
         "tuple",
@@ -290,6 +295,14 @@ def test_json_report_round_trips(name):
     assert again == report
 
 
+def test_parse_report_rejects_a_corrupted_monomial():
+    with open(os.path.join(DATA, "interior-6-Dv2.json"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["total"]["terms"][0]["monomial"] = "H*H"
+    with pytest.raises(ValueError):
+        parse_report(json.dumps(payload))
+
+
 def test_case_latex_golden(capsys):
     code, out, _ = run_main(
         capsys,
@@ -369,9 +382,12 @@ def test_latex_poly_renders_each_coefficient_shape():
         + Poly.gen(gen_ws(4, 2), coeff=GaussianRational(0, Fraction(-1, 3)))
     )
     assert latex_poly(poly, 4) == (
-        r"-\frac{3}{2}-\pi^{2} h'(0)+s+1i\langle v,e_{1}\rangle"
+        r"-\frac{3}{2}-\pi^{2} h'(0)+s+i\langle v,e_{1}\rangle"
         r"-\frac{1}{3}i(\nabla v^{*})_{42}"
     )
+    # a unit imaginary part prints as i, alone and beside a real part
+    assert latex_poly(Poly.gen(gen_v(2), coeff=-GR_I), 4) == r"-i\langle v,e_{2}\rangle"
+    assert latex_poly(Poly.const(GaussianRational(2, 1)), 4) == r"\left(2+i\right)"
     # a tag that no report carries keeps its text form
     assert latex_poly(Poly.gen(gen_xi(1)), 4) == "XI(1)"
 
@@ -681,6 +697,83 @@ def test_identities_fail_clifford_generators_that_commute(capsys, monkeypatch):
     assert "FAIL clifford-anticommutators" in out.splitlines()
 
 
+def _returning(value):
+    return lambda *args: value
+
+
+# Each patch breaks one piece of the engine, and the set is exactly the
+# rows that fail under it.  With the two tests above, every row can fail.
+@pytest.mark.parametrize(
+    "target, name, patch, failed",
+    [
+        (
+            wres.clifford.CliffordOp,
+            "trace",
+            _returning(Poly.zero()),
+            {
+                "fiber-trace-dimension",
+                "normal-clifford-square-trace",
+                "tangential-clifford-square-trace",
+                "warp-derivative-trace",
+            },
+        ),
+        (
+            cli,
+            "normal_clifford",
+            wres.clifford.CliffordOp.identity,
+            {"normal-clifford-square-trace"},
+        ),
+        (
+            cli,
+            "tangential_clifford",
+            wres.clifford.CliffordOp.identity,
+            {"tangential-clifford-square-trace", "warp-derivative-trace"},
+        ),
+        (
+            cli,
+            "tangential_clifford",
+            wres.clifford.normal_clifford,
+            {"mixed-clifford-trace"},
+        ),
+        (
+            wres.clifford.CliffordOp,
+            "scale",
+            lambda self, factor: self,
+            {"warp-derivative-trace"},
+        ),
+        (cli, "line_quad", _returning(0j), {"line-quadrature-reference"}),
+        (cli, "sphere_integrate", _returning(Poly.zero()), {"sphere-second-moment"}),
+        (
+            cli,
+            "sphere_integrate",
+            lambda poly, n: poly,
+            {"sphere-second-moment", "sphere-odd-moment"},
+        ),
+    ],
+    ids=[
+        "trace-zero",
+        "normal-is-identity",
+        "tangential-is-identity",
+        "tangential-is-normal",
+        "scale-ignored",
+        "quadrature-zero",
+        "sphere-integral-zero",
+        "sphere-integral-identity",
+    ],
+)
+def test_identities_fail_exactly_the_rows_a_patch_breaks(
+    capsys, monkeypatch, target, name, patch, failed
+):
+    """Every row of the identities report can fail, and each patch fails
+    only the rows that read what it breaks."""
+    monkeypatch.setattr(target, name, patch)
+    code, out, _ = run_main(capsys, ["identities", "--dim", "4"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 10
+    assert {line[5:] for line in lines if line.startswith("FAIL ")} == failed
+
+
 def test_identities_accepts_a_negative_seed(capsys):
     code, out, _ = run_main(capsys, ["identities", "--dim=4", "--seed=-1"])
     assert code == 0
@@ -840,6 +933,26 @@ INTERIOR_CAPTURES = [
 def test_interior_output_is_byte_identical_to_capture(capsys, name, emit, settings):
     dim, op, *flags = settings.split()
     argv = ["interior", "--dim", dim, "--op", op, "--emit", emit, *flags]
+    got_code, out, _ = run_main(capsys, argv)
+    with open(os.path.join(DATA, name), "rb") as handle:
+        want = handle.read()
+    assert got_code == 0
+    assert out.encode("utf-8") == want
+
+
+# Captured stdout of identities runs, each of which exits 0, with the form
+# each prints and its settings: the dimension and the projection seed.
+IDENTITIES_CAPTURES = [
+    ("identities-4.txt", "text", "4 0"),
+    ("identities-6-seed5.json", "json", "6 5"),
+    ("identities-8-seed-1.txt", "text", "8 -1"),
+]
+
+
+@pytest.mark.parametrize("name, emit, settings", IDENTITIES_CAPTURES)
+def test_identities_output_is_byte_identical_to_capture(capsys, name, emit, settings):
+    dim, seed = settings.split()
+    argv = ["identities", f"--dim={dim}", f"--seed={seed}", "--emit", emit]
     got_code, out, _ = run_main(capsys, argv)
     with open(os.path.join(DATA, name), "rb") as handle:
         want = handle.read()

@@ -188,6 +188,30 @@ def test_poly_ring_axioms():
         assert p * Poly.const(1) == p
 
 
+def test_poly_meets_exact_scalars_on_either_side():
+    h = Poly.gen(gen_h())
+    assert Poly.gen(gen_h(), 0) == 1
+    assert Poly.const(2) == 2
+    assert 3 - h == Poly.const(3) - h
+    assert (3 - h) + h == 3
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        # a float never enters the exact path
+        (lambda: Poly.gen(gen_h()) * 1.5, TypeError),
+        (lambda: GaussianRational.of("1"), TypeError),
+        (lambda: gen_xi(0), ValueError),
+        (lambda: Poly.gen(gen_h()) ** -1, ValueError),
+    ],
+    ids=["poly-times-float", "scalar-of-text", "xi-index-zero", "negative-power"],
+)
+def test_exact_layer_rejects_bad_operands(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_poly_eval_numeric_matches_structure():
     p = Poly.gen(gen_h()) * Poly.gen(gen_xi(1), exp=2) * Fraction(3, 2)
     p = p + Poly.gen(gen_v(4)) * GaussianRational(0, 1)
@@ -248,6 +272,16 @@ _generators = st.one_of(
 def test_parse_monomial_inverts_format_monomial(exponents):
     monomial = tuple(sorted(exponents.items()))
     assert parse_monomial(format_monomial(monomial)) == monomial
+
+
+@pytest.mark.parametrize(
+    "text", ["H*H", "V(1", "V(1))", "H^0", "H^1", "V(1)*H", "", "V()"]
+)
+def test_parse_monomial_rejects_text_format_monomial_never_writes(text):
+    """A repeated generator, unbalanced parentheses, an exponent of 0 or
+    a written-out 1, generators out of order, and empty names."""
+    with pytest.raises(ValueError):
+        parse_monomial(text)
 
 
 def _frozen_text_poly(poly):

@@ -76,6 +76,15 @@ def test_read_rejects_every_part_not_carried(n, variant):
             inv.read(order, derivatives)
 
 
+@pytest.mark.parametrize(
+    "build, name", [(operator_symbols, "D3"), (composite_symbols, "bogus")]
+)
+def test_symbols_reject_an_unknown_operator(build, name):
+    """D3 is a product of first-order factors, no single operator."""
+    with pytest.raises(ValueError):
+        build(4, name)
+
+
 def test_symbol_is_an_immutable_record():
     sym = operator_symbols(4, "Dv")
     with pytest.raises(AttributeError):

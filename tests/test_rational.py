@@ -121,6 +121,17 @@ def test_projection_idempotent_and_complementary():
         assert pi_plus(minus) == RationalXi.zero()
 
 
+def test_rational_rejects_a_negative_pole_order():
+    with pytest.raises(ValueError):
+        RationalXi((Poly.const(1),), -1, 0)
+
+
+def test_rational_repr_lists_numerator_and_poles():
+    f = RationalXi([1, Poly.gen(gen_h())], 2, 1)
+    assert repr(f) == "[(1) + (1*H)*xin^1] / (xin-i)^2(xin+i)^1"
+    assert repr(RationalXi.zero()) == "0"
+
+
 def test_projection_needs_proper_input():
     f = RationalXi((Poly.const(1), Poly.const(1)), 1, 0)
     with pytest.raises(ValueError):
@@ -194,6 +205,8 @@ def test_line_integral_closed_forms():
     # xi_n / |xi|^4: odd, integrates to zero
     f = RationalXi((Poly.const(0), Poly.const(1)), 2, 2)
     assert integrate_real_line(f) == Poly.zero()
+    # the zero rational, which has no poles at all
+    assert integrate_real_line(RationalXi.zero()) == Poly.zero()
 
 
 def test_line_integral_rejects_slow_decay():
