@@ -146,15 +146,7 @@ def compare_cases(
     out = []
     for report in reports:
         key = report.tuple.as_tuple()
-        expected = reference_cases[key]
-        if report.contribution != expected:
-            out.append(
-                Discrepancy(
-                    label=f"case {key}",
-                    computed=report.contribution,
-                    expected=expected,
-                )
-            )
+        out += compare_total(report.contribution, reference_cases[key], f"case {key}")
     return out
 
 

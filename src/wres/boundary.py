@@ -88,10 +88,9 @@ def enumerate_cases(n: int, p1: int, p2: int) -> list[CaseTuple]:
         for k in range(t + 1):
             for j in range(t - k + 1):
                 alpha = t - k - j
+                # r runs down to s + p2, where l = s - r reaches -p2
                 for r in range(-p1, s + p2 - 1, -1):
-                    l = s - r
-                    if l <= -p2:
-                        out.append(CaseTuple(r, l, k, j, alpha))
+                    out.append(CaseTuple(r, s - r, k, j, alpha))
     return out
 
 

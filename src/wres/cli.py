@@ -294,7 +294,10 @@ def _poly_from_json(data: dict) -> Poly:
     for term in data["terms"]:
         coeff = GaussianRational(term["re"], term["im"])
         terms[parse_monomial(term["monomial"])] = coeff
-    return Poly(terms)
+    poly = Poly(terms)
+    if any(c.is_zero for c in terms.values()) or _poly_to_json(poly) != data:
+        raise ValueError(f"not a polynomial as _poly_to_json writes it: {data!r}")
+    return poly
 
 
 def _emit_json(report: Report) -> str:

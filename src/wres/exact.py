@@ -134,14 +134,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if k < 0:
             return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, GaussianRational(1))
 
     # -- comparison / hashing ----------------------------------------
 
@@ -153,7 +146,7 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     # -- conversion --------------------------------------------------
 
@@ -167,6 +160,17 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"({self.re}{sign}{abs(self.im)}i)"
+
+
+def _power(base, k: int, one):
+    """base ** k for k >= 0, by square-and-multiply from one."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 def _raw(re, im) -> GaussianRational:
@@ -435,14 +439,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Poly.const(1))
 
     # -- comparison --------------------------------------------------
 

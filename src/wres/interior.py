@@ -12,12 +12,12 @@ square of its formal adjoint, and the mixed product adjoint-times-
 operator.  They share the curvature and scalar terms and differ in how
 the drift enters the quadratic and gradient terms.
 
-Apart from the curvature term, the endomorphism is one list of
-products coeff * left @ right.  build_endomorphism forms and sums them;
-interior_trace takes the trace product by product, which reads only the
-pairs of equal words, and never forms the endomorphism.  The curvature
-term is written down word by word; its trace vanishes because none of
-its words is empty.
+The endomorphism is one list of products coeff * left @ right, the
+curvature term first, as the identity times it.  build_endomorphism
+forms and sums them; interior_trace takes the trace product by product,
+which reads only the pairs of equal words, and never forms the
+endomorphism.  The curvature term is written down word by word; its
+trace vanishes because none of its words is empty.
 """
 
 from __future__ import annotations
@@ -107,11 +107,13 @@ def _gradient_products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
 
 
 def _products(n: int, variant: str, dual: bool) -> Iterator[tuple]:
-    """The endomorphism minus its curvature term, as (coeff, left, right)
-    triples: the scalar term -s/4, the drift square, the drift gradient
-    and -(outer drift)(inner drift), which is zero for a genuine square."""
+    """The endomorphism as (coeff, left, right) triples: the curvature
+    term, the scalar term -s/4, the drift square, the drift gradient and
+    -(outer drift)(inner drift), which is zero for a genuine square."""
     inner, outer = _drift_actions(n, variant, dual)
     one = CliffordOp.identity(n)
+    # the identity goes left, as trace_product walks the left operand's words
+    yield 1, one, curvature_term(n)
     yield Poly.gen(gen_s(), coeff=Fraction(-1, 4)), one, one
     yield from _square_products(n, inner, outer)
     yield from _gradient_products(n, variant, dual)
@@ -138,13 +140,12 @@ def drift_gradient_term(n: int, variant: str, dual: bool = True) -> CliffordOp:
 
 def build_endomorphism(n: int, variant: str, dual: bool = True) -> CliffordOp:
     """The endomorphism piece of the chosen Laplacian at the base point."""
-    return curvature_term(n) + _sum_products(n, _products(n, variant, dual))
+    return _sum_products(n, _products(n, variant, dual))
 
 
 def interior_trace(n: int, variant: str, dual: bool = True) -> Poly:
     """Fiber trace of s/6 plus the endomorphism, one product at a time."""
     out = Poly.gen(gen_s(), coeff=Fraction(1, 6)) * Fraction(1 << n)
-    out = out + curvature_term(n).trace()
     for coeff, left, right in _products(n, variant, dual):
         out = out + left.trace_product(right) * coeff
     return out

@@ -37,7 +37,7 @@ time.  Because the trace is bilinear in the pole terms, each case
 contracts tr(A_k B_m) of the two table entries it reads once, and the
 quadrature integrand is a small scalar form in powers of 1/(x -+ i).
 `line_quad` runs that integrand once per distinct quadrature node: its
-real and imaginary passes, and both tails, read a table of the values
+real and imaginary passes, and both tails, read one cache of the values
 computed so far in the same call.  This is the same
 contour-and-quadrature computation in another order of summation, built
 from the oracle's own dense matrices: no exact-engine code enters it, so
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 
 import numpy as np
@@ -347,17 +347,11 @@ def line_quad(g) -> complex:
     each tail is mapped to (0, 1/T] by inversion and integrated the same
     way, so the result estimates the full improper integral.  Real and
     imaginary parts are separate `quad` runs, which bisect alike and so
-    ask for largely the same nodes.  All six runs share one table, local
-    to the call, from a node x on the real line to g(x), so g runs once
-    per distinct node; a tail looks up g(s / t) under its node s / t.
+    ask for largely the same nodes.  All six runs share one cache of g,
+    local to the call and keyed by the node x on the real line, so g runs
+    once per distinct node; a tail looks up g(s / t) under its node s / t.
     """
-    values = {}
-
-    def at(x):
-        value = values.get(x)
-        if value is None:
-            value = values[x] = g(x)
-        return value
+    at = cache(g)
 
     def part(fn, a, b):
         return quad(fn, a, b, limit=200, epsabs=1e-11, epsrel=1e-11)[0]
@@ -370,9 +364,7 @@ def line_quad(g) -> complex:
     total = complex_part(at, -_T_BOUND, _T_BOUND)
     upper = 1.0 / _T_BOUND
     for sign in (1.0, -1.0):
-        total += complex_part(
-            lambda t, s=sign: at(s / t) / (t * t), 0.0, upper
-        )
+        total += complex_part(lambda t, s=sign: at(s / t) / (t * t), 0.0, upper)
     return total
 
 

@@ -22,10 +22,10 @@ at +i is the xin**(a-1) coefficient of pi_plus's numerator.
 
 MatrixSymbol is the Clifford word map of clifford._WordMap with
 RationalXi coefficients.  Its coefficients are reduced on the cosphere
-only where numerators are multiplied (from_clifford, identity, scale,
-the product and the trace of a product).  Sums, negation,
-xin-derivatives and projections combine coefficients over constants, so
-they keep sphere normal form by themselves.
+only where numerators are multiplied: in scale, which from_clifford and
+identity go through, and in the product and the trace of a product.
+Sums, negation, xin-derivatives and projections combine coefficients
+over constants, so they keep sphere normal form by themselves.
 """
 
 from __future__ import annotations
@@ -67,13 +67,18 @@ def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> tuple[list, P
     return partial[-2:0:-1], partial[-1]
 
 
-def _mul_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
-    if not f or not g:
-        return []
-    out = [{} for _ in range(len(f) + len(g) - 1)]
+def _convolve_into(out: list, f: Sequence[Poly], g: Sequence[Poly]) -> None:
+    """Add the coefficients of f * g into out, a list of terms dicts it grows."""
+    out.extend({} for _ in range(len(f) + len(g) - 1 - len(out)))
     for i, p in enumerate(f):
         for j, q in enumerate(g):
             _add_product_into(out[i + j], p, q)
+
+
+def _mul_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
+    out: list = []
+    if f and g:
+        _convolve_into(out, f, g)
     return [Poly._own(terms) for terms in out]
 
 
@@ -356,12 +361,8 @@ def _product_cells(pairs: Iterable, n: int) -> dict:
         acc = cell.get(sig)
         if acc is None:
             acc = cell[sig] = []
-        size = len(left.num) + len(right.num) - 1
-        acc.extend({} for _ in range(size - len(acc)))
         lnum = left.num if sign > 0 else [-p for p in left.num]
-        for i, p in enumerate(lnum):
-            for j, q in enumerate(right.num):
-                _add_product_into(acc[i + j], p, q)
+        _convolve_into(acc, lnum, right.num)
     out: dict = {}
     for w, cell in sums.items():
         top_a = max(a for a, _ in cell)
@@ -396,13 +397,10 @@ class MatrixSymbol(_WordMap):
     @staticmethod
     def from_clifford(op, factor: RationalXi | None = None) -> "MatrixSymbol":
         """Embed a polynomial fiber operator, optionally times a rational scalar."""
-        f = factor if factor is not None else RationalXi.const(1)
-        words = {}
-        for w, p in op.words.items():
-            r = _on_sphere([p * q for q in f.num], f.a, f.b, op.n)
-            if not r.is_zero:
-                words[w] = r
-        return MatrixSymbol(op.n, words)
+        words = {w: RationalXi([p]) for w, p in op.words.items()}
+        return MatrixSymbol(op.n, words).scale(
+            factor if factor is not None else RationalXi.const(1)
+        )
 
     # -- arithmetic --------------------------------------------------
 

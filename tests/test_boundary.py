@@ -1,8 +1,8 @@
 """Boundary term: case enumeration, per-case evaluation, and the full
 dimension-four tables against the frozen references."""
 
-import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -60,20 +60,22 @@ def test_enumeration_rejects_bad_input():
 
 
 def test_enumeration_satisfies_order_constraint():
-    rng = random.Random(71)
-    for _ in range(40):
-        n = 2 * rng.randint(1, 5)
-        p1 = rng.randint(1, 3)
-        p2 = rng.randint(1, 3)
-        cases = enumerate_cases(n, p1, p2)
-        seen = set()
-        for c in cases:
-            assert c.r + c.l - c.k - c.j - c.alpha - 1 == -n
-            assert c.r <= -p1
-            assert c.l <= -p2
-            assert c.k >= 0 and c.j >= 0 and c.alpha >= 0
-            assert c.as_tuple() not in seen
-            seen.add(c.as_tuple())
+    """The listed cases are every solution of the constraint, once each,
+    in the documented order."""
+    for n, p1, p2 in product(range(2, 13, 2), range(1, 5), range(1, 5)):
+        cases = [c.as_tuple() for c in enumerate_cases(n, p1, p2)]
+        # r + l - k - j - alpha - 1 = -n bounds every entry by n
+        brute = {
+            (r, l, k, j, r + l - k - j - 1 + n)
+            for r, l in product(range(-n, 1 - p1), range(-n, 1 - p2))
+            for k, j in product(range(n), repeat=2)
+            if r + l - k - j - 1 + n >= 0
+        }
+        assert len(cases) == len(set(cases))
+        assert set(cases) == brute
+        # more derivatives first, then k and j ascending, then r descending
+        order = [(-(k + j + alpha), k, j, -r) for r, _, k, j, alpha in cases]
+        assert order == sorted(order)
 
 
 def test_case_coefficient_values():

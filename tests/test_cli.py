@@ -303,6 +303,27 @@ def test_parse_report_rejects_a_corrupted_monomial():
         parse_report(json.dumps(payload))
 
 
+# Edits of a captured total that _emit_json never writes; the two
+# spellings keep the value of the term they touch.
+CORRUPTIONS = {
+    "zero-coefficient": lambda terms: terms[0].update(re="0", im="0"),
+    "repeated-monomial": lambda terms: terms.insert(1, dict(terms[0])),
+    "unreduced-fraction": lambda terms: terms[0].update(re="-4096/6"),
+    "decimal-spelling": lambda terms: terms[1].update(re="-2048.0"),
+    "unsorted-terms": lambda terms: terms.reverse(),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_parse_report_rejects_polynomial_json_it_never_writes(corrupt):
+    with open(os.path.join(DATA, "interior-6-Dv2.json"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert payload["total"]["terms"][0]["re"] == "-2048/3"
+    corrupt(payload["total"]["terms"])
+    with pytest.raises(ValueError):
+        parse_report(json.dumps(payload))
+
+
 def test_case_latex_golden(capsys):
     code, out, _ = run_main(
         capsys,
@@ -866,7 +887,18 @@ def test_bad_thread_cap_is_a_usage_error(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# oracle output bytes
+# output bytes against the captures in tests/data
+
+
+def _assert_capture(capsys, name, code, argv):
+    """The command exits with code and prints the capture: on stderr for a
+    `.err` file, else on stdout, with nothing on the other stream."""
+    got_code, out, err = run_main(capsys, argv)
+    with open(os.path.join(DATA, name), encoding="utf-8", newline="") as handle:
+        want = handle.read()
+    streams = (err, out) if name.endswith(".err") else (out, err)
+    assert (got_code, *streams) == (code, want, "")
+
 
 # Captured stdout of crosscheck commands, with their exit codes.  The
 # oracle's floats print with every digit, so a change in its order of
@@ -894,12 +926,7 @@ def test_crosscheck_output_is_byte_identical_to_capture(
     dim, left, right, scenarios, seed, *flags = settings.split()
     argv = ["crosscheck", "--dim", dim, "--left", left, "--right", right]
     argv += ["--scenarios", scenarios, "--seed", seed, "--emit", "json"]
-    argv += flags
-    got_code, out, _ = run_main(capsys, argv)
-    with open(os.path.join(DATA, name), "rb") as handle:
-        want = handle.read()
-    assert got_code == code
-    assert out.encode("utf-8") == want
+    _assert_capture(capsys, name, code, argv + flags)
 
 
 # Captured stdout of interior commands, each of which exits 0, with the
@@ -933,11 +960,7 @@ INTERIOR_CAPTURES = [
 def test_interior_output_is_byte_identical_to_capture(capsys, name, emit, settings):
     dim, op, *flags = settings.split()
     argv = ["interior", "--dim", dim, "--op", op, "--emit", emit, *flags]
-    got_code, out, _ = run_main(capsys, argv)
-    with open(os.path.join(DATA, name), "rb") as handle:
-        want = handle.read()
-    assert got_code == 0
-    assert out.encode("utf-8") == want
+    _assert_capture(capsys, name, 0, argv)
 
 
 # Captured stdout of identities runs, each of which exits 0, with the form
@@ -953,11 +976,7 @@ IDENTITIES_CAPTURES = [
 def test_identities_output_is_byte_identical_to_capture(capsys, name, emit, settings):
     dim, seed = settings.split()
     argv = ["identities", f"--dim={dim}", f"--seed={seed}", "--emit", emit]
-    got_code, out, _ = run_main(capsys, argv)
-    with open(os.path.join(DATA, name), "rb") as handle:
-        want = handle.read()
-    assert got_code == 0
-    assert out.encode("utf-8") == want
+    _assert_capture(capsys, name, 0, argv)
 
 
 # Captured stdout of boundary tables and of single rows of them, with
@@ -993,15 +1012,7 @@ BOUNDARY_CAPTURES = [
 def test_boundary_output_is_byte_identical_to_capture(capsys, name, code, settings):
     dim, left, right, emit, *flags = settings.split()
     argv = [name.split("-")[0], "--dim", dim, "--left", left, "--right", right]
-    argv += ["--emit", emit, *flags]
-    got_code, out, err = run_main(capsys, argv)
-    with open(os.path.join(DATA, name), "rb") as handle:
-        want = handle.read()
-    assert got_code == code
-    if name.endswith(".err"):
-        assert (out, err.encode("utf-8")) == ("", want)
-    else:
-        assert (out.encode("utf-8"), err) == (want, "")
+    _assert_capture(capsys, name, code, argv + ["--emit", emit, *flags])
 
 
 # ---------------------------------------------------------------------------
