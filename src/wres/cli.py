@@ -300,6 +300,14 @@ def _poly_from_json(data: dict) -> Poly:
     return poly
 
 
+def _case_from_json(data) -> CaseTuple:
+    if not isinstance(data, list) or len(data) != 5 or any(
+        type(x) is not int for x in data
+    ):
+        raise ValueError(f"not a case tuple as _emit_json writes it: {data!r}")
+    return CaseTuple(*data)
+
+
 def _emit_json(report: Report) -> str:
     payload = {
         "meta": report.meta,
@@ -328,7 +336,7 @@ def parse_report(text: str) -> Report:
     payload = json.loads(text)
     cases = [
         (
-            CaseTuple(*entry["tuple"]),
+            _case_from_json(entry["tuple"]),
             _poly_from_json(entry["contribution"]),
         )
         for entry in payload["cases"]

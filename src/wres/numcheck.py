@@ -38,7 +38,12 @@ contracts tr(A_k B_m) of the two table entries it reads once, and the
 quadrature integrand is a small scalar form in powers of 1/(x -+ i).
 `line_quad` runs that integrand once per distinct quadrature node: its
 real and imaginary passes, and both tails, read one cache of the values
-computed so far in the same call.  This is the same
+computed so far in the same call.  The power vectors at a node depend
+only on the node and the case's jet order, not on the scenario, and
+QUADPACK's bisection of the fixed intervals asks for the same few
+hundred nodes in every case; two bounded process-wide memos
+(`_upper_powers`, `_pole_powers`) compute each vector once, so a case
+pays only for its own contraction.  This is the same
 contour-and-quadrature computation in another order of summation, built
 from the oracle's own dense matrices: no exact-engine code enters it, so
 agreement still means what it meant.
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import factorial
 
 import numpy as np
@@ -304,6 +309,33 @@ class PoleExpansion:
         self.terms = {key: (plus[key], minus[key]) for key in plus}
 
 
+# The powers of 1/(x -+ i) that the integrand reads at node x: the upper
+# pole's powers for the left factor, differentiated k times, and both
+# poles' powers for the right factor, differentiated j + 1 times.  They
+# depend on neither the scenario nor the case's traces, and QUADPACK's
+# bisection asks for the same few hundred nodes in every case, so each
+# vector is computed once per (x, k) or (x, j) for the whole process.
+# The memos are bounded (least recently used entries go first) and hand
+# out read-only arrays, so no caller can change a shared value; two
+# crosscheck threads that miss on one key at once compute the same floats.
+_POWERS = np.arange(1, _POLE_ORDER + 1)
+_POLES = np.repeat([1j, -1j], _POLE_ORDER)
+
+
+@lru_cache(maxsize=4096)
+def _upper_powers(x: float, k: int) -> np.ndarray:
+    w = (1.0 / (x - 1j)) ** (_POWERS + k)
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=4096)
+def _pole_powers(x: float, j: int) -> np.ndarray:
+    u = (1.0 / (x - _POLES)) ** np.tile(_POWERS + j + 1, 2)
+    u.flags.writeable = False
+    return u
+
+
 def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
     """x -> coeff * tr(L(x) @ R(x)) for two entries of
     `PoleExpansion.terms`.
@@ -314,24 +346,20 @@ def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
     G[k, m] = coeff * f_k * g_m * tr(A_k B_m) over the upper terms A of
     L and the terms B of both poles of R, with f, g the derivative
     factors.  The integrand is then w(x) @ G @ u(x), where w and u hold
-    the matching powers of 1/(x - i) and 1/(x -+ i).
+    the matching powers of 1/(x - i) and 1/(x -+ i); they come from the
+    process-wide memos `_upper_powers(x, case.k)` and
+    `_pole_powers(x, case.j)`, so only G belongs to the case and the
+    scenario.  Both entries hold `_POLE_ORDER` terms per pole.
     """
-    left_plus = left[0]
-    order = len(left_plus)
-    gram = np.einsum("kab,mba->km", left_plus, np.concatenate(right))
+    gram = np.einsum("kab,mba->km", left[0], np.concatenate(right))
     gram *= _case_coefficient(case) * np.outer(
-        _derivative_factors(order, case.k),
-        np.tile(_derivative_factors(order, case.j + 1), 2),
+        _derivative_factors(_POLE_ORDER, case.k),
+        np.tile(_derivative_factors(_POLE_ORDER, case.j + 1), 2),
     )
-    powers = np.arange(1, order + 1)
-    left_powers = powers + case.k
-    right_powers = np.tile(powers + case.j + 1, 2)
-    right_poles = np.repeat([1j, -1j], order)
+    k, j = case.k, case.j
 
     def integrand(x: float) -> complex:
-        w = (1.0 / (x - 1j)) ** left_powers
-        u = (1.0 / (x - right_poles)) ** right_powers
-        return w @ gram @ u
+        return _upper_powers(x, k) @ gram @ _pole_powers(x, j)
 
     return integrand
 

@@ -314,6 +314,25 @@ CORRUPTIONS = {
 }
 
 
+CASE_TUPLES = {
+    "float-entry": [-1.0, -3, 0, 0, 1],
+    "bool-entry": [True, -3, 0, 0, 1],
+    "four-entries": [-1, -3, 0, 0],
+    "six-entries": [-1, -3, 0, 0, 1, 0],
+}
+
+
+@pytest.mark.parametrize("bad", CASE_TUPLES.values(), ids=CASE_TUPLES)
+def test_parse_report_rejects_case_tuples_it_never_writes(bad):
+    """A case tuple is exactly five plain ints, as _emit_json writes it."""
+    with open(os.path.join(DATA, "boundary-6-Dv-D3.json"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert payload["cases"][0]["tuple"] == [-1, -3, 0, 0, 1]
+    payload["cases"][0]["tuple"] = bad
+    with pytest.raises(ValueError, match="case tuple"):
+        parse_report(json.dumps(payload))
+
+
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
 def test_parse_report_rejects_polynomial_json_it_never_writes(corrupt):
     with open(os.path.join(DATA, "interior-6-Dv2.json"), encoding="utf-8") as handle:

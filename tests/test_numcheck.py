@@ -18,6 +18,7 @@ from wres.exact import GaussianRational, Poly, gen_omega
 from wres import jets, numcheck
 from wres.numcheck import (
     _POLE_ORDER,
+    _T_BOUND,
     NumericFiber,
     NumericScenario,
     PoleExpansion,
@@ -595,6 +596,122 @@ def test_crosscheck_rows_match_standalone_line_integrals():
     for row in rows:
         alone = numeric_line_integral(row.case, scenario, "Dv", "DvStar")
         assert row.numeric == alone
+
+
+def _frozen_trace_integrand(left, right, case):
+    """`_trace_integrand` as it was before the power memos, rebuilding w
+    and u on every call; kept verbatim as the reference for it."""
+    left_plus = left[0]
+    order = len(left_plus)
+    gram = np.einsum("kab,mba->km", left_plus, np.concatenate(right))
+    gram *= _case_coefficient(case) * np.outer(
+        _derivative_factors(order, case.k),
+        np.tile(_derivative_factors(order, case.j + 1), 2),
+    )
+    powers = np.arange(1, order + 1)
+    left_powers = powers + case.k
+    right_powers = np.tile(powers + case.j + 1, 2)
+    right_poles = np.repeat([1j, -1j], order)
+
+    def integrand(x):
+        w = (1.0 / (x - 1j)) ** left_powers
+        u = (1.0 / (x - right_poles)) ** right_powers
+        return w @ gram @ u
+
+    return integrand
+
+
+def _memo_infos():
+    memos = (numcheck._upper_powers, numcheck._pole_powers)
+    return [memo.cache_info() for memo in memos]
+
+
+def _clear_memos():
+    numcheck._upper_powers.cache_clear()
+    numcheck._pole_powers.cache_clear()
+
+
+def _live_dim4_reports():
+    _, reports = boundary_phi(4, "Dv", "DvStar")
+    return [r for r in reports if not r.structurally_zero]
+
+
+@pytest.mark.parametrize(
+    "n, left, right, seed", [(4, "Dv", "DvStar", 8), (6, "Dv", "D3", 3)]
+)
+def test_memoized_integrand_matches_frozen_copy_on_every_node(n, left, right, seed):
+    """The memoized integrand gives every bit of the per-call one on every
+    node line_quad asks for, centre and both tails, for every (k, j) in
+    {0, 1}^2: the table's cases, and one synthetic case for each pair the
+    table lacks."""
+    _, reports = boundary_phi(n, left, right)
+    fiber = NumericFiber(NumericScenario.draw(n, seed))
+    terms = PoleExpansion(fiber.inverse_members((left, right))).terms
+    cases = [r.tuple for r in reports if not r.structurally_zero]
+    r, l = cases[0].r, cases[0].l
+    cases += [
+        CaseTuple(r, l, k, j, 0)
+        for k in (0, 1)
+        for j in (0, 1)
+        if (k, j) not in {(c.k, c.j) for c in cases}
+    ]
+    assert {(c.k, c.j) for c in cases} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    _clear_memos()
+    for case in cases:
+        entries = terms[left, case.j, case.r], terms[right, case.k, case.l]
+        memoized = _trace_integrand(*entries, case)
+        frozen = _frozen_trace_integrand(*entries, case)
+        nodes = []
+        value = line_quad(lambda x: nodes.append(x) or memoized(x))
+        assert min(nodes) < -_T_BOUND and max(nodes) > _T_BOUND
+        assert any(abs(x) < _T_BOUND for x in nodes)
+        for x in nodes:
+            assert memoized(x) == frozen(x), (case, x)
+        assert value == line_quad(frozen)
+    assert all(info.hits for info in _memo_infos())
+
+
+def test_power_memos_leak_no_state_between_scenarios():
+    """Rows of one scenario read after another are the rows of a fresh
+    process, and the shared vectors cannot be written."""
+    live = _live_dim4_reports()
+    first, second = (NumericScenario.draw(4, seed) for seed in (3, 4))
+    _clear_memos()
+    crosscheck(live, first, "Dv", "DvStar")
+    before = _memo_infos()
+    after_first = crosscheck(live, second, "Dv", "DvStar")
+    assert all(a.hits > b.hits for a, b in zip(_memo_infos(), before))
+    _clear_memos()
+    assert after_first == crosscheck(live, second, "Dv", "DvStar")
+    with pytest.raises(ValueError):
+        numcheck._upper_powers(0.5, 0)[0] = 0.0
+    with pytest.raises(ValueError):
+        numcheck._pole_powers(0.5, 0)[0] = 0.0
+
+
+def test_power_memos_stay_bounded():
+    """The memos have a bound, and the 64 scenarios of the captured n=4
+    oracle run stay inside it."""
+    live = _live_dim4_reports()
+    _clear_memos()
+    for seed in range(64):
+        crosscheck(live, NumericScenario.draw(4, seed), "Dv", "DvStar")
+    for info in _memo_infos():
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize
+
+
+def test_power_memos_hit_on_the_benchmark_scenarios():
+    """On the 12 scenarios of the crosscheck4 benchmark session nearly
+    every node lookup is a hit: QUADPACK asks for the same nodes in every
+    case and scenario."""
+    live = _live_dim4_reports()
+    _clear_memos()
+    for seed in range(1, 13):
+        crosscheck(live, NumericScenario.draw(4, seed), "Dv", "DvStar")
+    hits = sum(info.hits for info in _memo_infos())
+    lookups = hits + sum(info.misses for info in _memo_infos())
+    assert hits >= 0.9 * lookups
 
 
 @pytest.mark.parametrize(
