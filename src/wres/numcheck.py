@@ -39,21 +39,25 @@ quadrature integrand is a small scalar form in powers of 1/(x -+ i).
 `line_quad` runs that integrand once per distinct quadrature node: its
 real and imaginary passes, and both tails, read one cache of the values
 computed so far in the same call.  The power vectors at a node depend
-only on the node and the case's jet order, not on the scenario, and
-QUADPACK's bisection of the fixed intervals asks for the same few
-hundred nodes in every case; two bounded process-wide memos
-(`_upper_powers`, `_pole_powers`) compute each vector once, so a case
-pays only for its own contraction.  This is the same
-contour-and-quadrature computation in another order of summation, built
-from the oracle's own dense matrices: no exact-engine code enters it, so
-agreement still means what it meant.
+only on the node and the case's jet orders (k, j), not on the scenario,
+and QUADPACK's bisection of the fixed intervals asks for the same few
+hundred nodes in every case.  So each (k, j) keeps one bounded
+process-wide node table (`_NodeTable`): the nodes asked for so far, in
+insertion order, with their power vectors stacked as rows.  A case
+evaluates its integrand on every tabled node at once, in one stacked
+product that numpy computes with the same per-node calls and so to the
+same bits, and computes alone, then tables, only a node the table
+lacks.  This is the same contour-and-quadrature computation in another
+order of summation, built from the oracle's own dense matrices: no
+exact-engine code enters it, so agreement still means what it meant.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from math import factorial
 
 import numpy as np
@@ -309,31 +313,94 @@ class PoleExpansion:
         self.terms = {key: (plus[key], minus[key]) for key in plus}
 
 
-# The powers of 1/(x -+ i) that the integrand reads at node x: the upper
-# pole's powers for the left factor, differentiated k times, and both
-# poles' powers for the right factor, differentiated j + 1 times.  They
-# depend on neither the scenario nor the case's traces, and QUADPACK's
-# bisection asks for the same few hundred nodes in every case, so each
-# vector is computed once per (x, k) or (x, j) for the whole process.
-# The memos are bounded (least recently used entries go first) and hand
-# out read-only arrays, so no caller can change a shared value; two
-# crosscheck threads that miss on one key at once compute the same floats.
+# The exponents of 1/(x -+ i) that the integrand reads at node x: the
+# upper pole's powers for the left factor, differentiated k times, and
+# both poles' powers for the right factor, differentiated j + 1 times.
 _POWERS = np.arange(1, _POLE_ORDER + 1)
 _POLES = np.repeat([1j, -1j], _POLE_ORDER)
+_UPPER_EXPONENTS = (_POWERS, _POWERS + 1)  # by k
+_POLE_EXPONENTS = (np.tile(_POWERS + 1, 2), np.tile(_POWERS + 2, 2))  # by j
+_NODE_LIMIT = 4096  # nodes per table; later ones are computed alone
 
 
-@lru_cache(maxsize=4096)
-def _upper_powers(x: float, k: int) -> np.ndarray:
-    w = (1.0 / (x - 1j)) ** (_POWERS + k)
-    w.flags.writeable = False
-    return w
+class _NodeTable:
+    """The quadrature nodes seen under one normal-jet pair (k, j), in
+    insertion order, with the integrand's power vectors at each.
+
+    Row i of W is w = (1/(x - i))**(m + k) and row i of U is
+    u = (1/(x -+ i))**(m + j + 1), m = 1.._POLE_ORDER, at the i-th node.
+    At most `_NODE_LIMIT` nodes are tabled.  The table is shared by
+    threads: rows are only appended, under a lock, and `snapshot` hands
+    out read-only views of the rows written so far together with their
+    nodes.  `stacked` and `alone` count the node values served from a
+    stacked product and those computed alone.
+    """
+
+    def __init__(self, k: int, j: int):
+        self._upper = _UPPER_EXPONENTS[k]
+        self._pole = _POLE_EXPONENTS[j]
+        self._lock = threading.Lock()
+        self._nodes = {}  # node -> None, in insertion order
+        self._w = np.empty((0, _POLE_ORDER), dtype=complex)
+        self._u = np.empty((0, 2 * _POLE_ORDER), dtype=complex)
+        # The nodes served from a stack since the last snapshot, which
+        # counts them.  list.append is atomic, so an integrand records a
+        # node without taking the lock on every call.
+        self.served = []
+        self._stacked = 0
+        self.alone = 0
+
+    @property
+    def stacked(self) -> int:
+        with self._lock:
+            return self._stacked + len(self.served)
+
+    def snapshot(self) -> tuple:
+        """(nodes, W, U) for every node tabled so far."""
+        with self._lock:
+            served = len(self.served)
+            del self.served[:served]
+            self._stacked += served
+            n = len(self._nodes)
+            nodes, w, u = tuple(self._nodes), self._w[:n], self._u[:n]
+        w.flags.writeable = u.flags.writeable = False
+        return nodes, w, u
+
+    def values(self, gram: np.ndarray) -> dict:
+        """w @ gram @ u at every tabled node, from one stacked product.
+
+        numpy makes the same per-slice calls for the stacked product as
+        for `w @ gram @ u` at one node, so each value is the same to the
+        bit (a 2-D `W @ gram` or an einsum is not).  The values stay numpy
+        scalars: `line_quad`'s tails divide them by a float, which a
+        Python complex does in other arithmetic.
+        """
+        nodes, w, u = self.snapshot()
+        return dict(zip(nodes, ((w[:, None, :] @ gram) @ u[:, :, None])[:, 0, 0]))
+
+    def compute(self, x: float, gram: np.ndarray) -> complex:
+        """w @ gram @ u at one node, tabling the node if there is room."""
+        w = (1.0 / (x - 1j)) ** self._upper
+        u = (1.0 / (x - _POLES)) ** self._pole
+        with self._lock:
+            self.alone += 1
+            n = len(self._nodes)
+            if x not in self._nodes and n < _NODE_LIMIT:
+                if n == len(self._w):
+                    # earlier snapshots keep viewing the old buffers
+                    self._w, self._u = _grown(self._w), _grown(self._u)
+                self._w[n], self._u[n] = w, u
+                self._nodes[x] = None
+        return w @ gram @ u
 
 
-@lru_cache(maxsize=4096)
-def _pole_powers(x: float, j: int) -> np.ndarray:
-    u = (1.0 / (x - _POLES)) ** np.tile(_POWERS + j + 1, 2)
-    u.flags.writeable = False
-    return u
+def _grown(rows: np.ndarray) -> np.ndarray:
+    """rows with room for as many rows again, and for at least 64."""
+    room = np.empty((max(len(rows), 64), rows.shape[1]), dtype=complex)
+    return np.concatenate([rows, room])
+
+
+_NODE_TABLES = {(k, j): _NodeTable(k, j) for k in (0, 1) for j in (0, 1)}
 
 
 def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
@@ -346,20 +413,29 @@ def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
     G[k, m] = coeff * f_k * g_m * tr(A_k B_m) over the upper terms A of
     L and the terms B of both poles of R, with f, g the derivative
     factors.  The integrand is then w(x) @ G @ u(x), where w and u hold
-    the matching powers of 1/(x - i) and 1/(x -+ i); they come from the
-    process-wide memos `_upper_powers(x, case.k)` and
-    `_pole_powers(x, case.j)`, so only G belongs to the case and the
-    scenario.  Both entries hold `_POLE_ORDER` terms per pole.
+    the matching powers of 1/(x - i) and 1/(x -+ i).  Both entries hold
+    `_POLE_ORDER` terms per pole.
+
+    The values at every node already in the (case.k, case.j) node table
+    come from one stacked product, `((W[:, None, :] @ G) @ U[:, :, None])`,
+    bit for bit those of `w @ G @ u` node by node (`_NodeTable.values`).
+    A node the table lacks is computed alone and added to the table.
     """
     gram = np.einsum("kab,mba->km", left[0], np.concatenate(right))
     gram *= _case_coefficient(case) * np.outer(
         _derivative_factors(_POLE_ORDER, case.k),
         np.tile(_derivative_factors(_POLE_ORDER, case.j + 1), 2),
     )
-    k, j = case.k, case.j
+    table = _NODE_TABLES[case.k, case.j]
+    values = table.values(gram)
+    served = table.served.append
 
     def integrand(x: float) -> complex:
-        return _upper_powers(x, k) @ gram @ _pole_powers(x, j)
+        value = values.get(x)
+        if value is None:
+            return table.compute(x, gram)
+        served(x)
+        return value
 
     return integrand
 

@@ -3,14 +3,21 @@ operators, and the exact-vs-numeric crosscheck rows."""
 
 import ast
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wres.boundary import CaseTuple, boundary_phi
@@ -34,6 +41,8 @@ from wres.numcheck import (
     sphere_moment_mc,
 )
 from wres.rational import RationalXi
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_omega_area_known_values():
@@ -621,14 +630,16 @@ def _frozen_trace_integrand(left, right, case):
     return integrand
 
 
-def _memo_infos():
-    memos = (numcheck._upper_powers, numcheck._pole_powers)
-    return [memo.cache_info() for memo in memos]
+def _empty_node_tables(monkeypatch):
+    """Give the oracle fresh, empty node tables for the rest of the test
+    and return them."""
+    tables = {kj: numcheck._NodeTable(*kj) for kj in numcheck._NODE_TABLES}
+    monkeypatch.setattr(numcheck, "_NODE_TABLES", tables)
+    return tables
 
 
-def _clear_memos():
-    numcheck._upper_powers.cache_clear()
-    numcheck._pole_powers.cache_clear()
+def _table_counts(tables):
+    return {kj: (table.stacked, table.alone) for kj, table in tables.items()}
 
 
 def _live_dim4_reports():
@@ -639,11 +650,16 @@ def _live_dim4_reports():
 @pytest.mark.parametrize(
     "n, left, right, seed", [(4, "Dv", "DvStar", 8), (6, "Dv", "D3", 3)]
 )
-def test_memoized_integrand_matches_frozen_copy_on_every_node(n, left, right, seed):
-    """The memoized integrand gives every bit of the per-call one on every
+def test_memoized_integrand_matches_frozen_copy_on_every_node(
+    n, left, right, seed, monkeypatch
+):
+    """The tabled integrand gives every bit of the per-call one on every
     node line_quad asks for, centre and both tails, for every (k, j) in
     {0, 1}^2: the table's cases, and one synthetic case for each pair the
-    table lacks."""
+    table lacks.  Each case runs once on empty node tables, where every
+    node is computed alone, and again on the tables that run filled,
+    where the stacked product serves at least 90 % of the nodes.  Values
+    are numpy scalars on both paths, as the frozen one's are."""
     _, reports = boundary_phi(n, left, right)
     fiber = NumericFiber(NumericScenario.draw(n, seed))
     terms = PoleExpansion(fiber.inverse_members((left, right))).terms
@@ -656,62 +672,187 @@ def test_memoized_integrand_matches_frozen_copy_on_every_node(n, left, right, se
         if (k, j) not in {(c.k, c.j) for c in cases}
     ]
     assert {(c.k, c.j) for c in cases} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    _clear_memos()
     for case in cases:
         entries = terms[left, case.j, case.r], terms[right, case.k, case.l]
-        memoized = _trace_integrand(*entries, case)
         frozen = _frozen_trace_integrand(*entries, case)
-        nodes = []
-        value = line_quad(lambda x: nodes.append(x) or memoized(x))
-        assert min(nodes) < -_T_BOUND and max(nodes) > _T_BOUND
-        assert any(abs(x) < _T_BOUND for x in nodes)
-        for x in nodes:
-            assert memoized(x) == frozen(x), (case, x)
-        assert value == line_quad(frozen)
-    assert all(info.hits for info in _memo_infos())
+        table = _empty_node_tables(monkeypatch)[case.k, case.j]
+        for warm in (False, True):
+            stacked, alone = table.stacked, table.alone
+            memoized = _trace_integrand(*entries, case)
+            nodes = []
+            value = line_quad(lambda x: nodes.append(x) or memoized(x))
+            stacked, alone = table.stacked - stacked, table.alone - alone
+            assert stacked + alone == len(nodes)
+            if warm:
+                assert stacked >= 0.9 * len(nodes)
+            else:
+                assert stacked == 0
+            assert min(nodes) < -_T_BOUND and max(nodes) > _T_BOUND
+            assert any(abs(x) < _T_BOUND for x in nodes)
+            for x in nodes:
+                got, want = memoized(x), frozen(x)
+                assert type(got) is type(want), (case, x)
+                assert got == want, (case, x)
+            assert value == line_quad(frozen)
 
 
-def test_power_memos_leak_no_state_between_scenarios():
+def test_power_memos_leak_no_state_between_scenarios(monkeypatch):
     """Rows of one scenario read after another are the rows of a fresh
-    process, and the shared vectors cannot be written."""
+    process, and the shared power rows cannot be written."""
     live = _live_dim4_reports()
     first, second = (NumericScenario.draw(4, seed) for seed in (3, 4))
-    _clear_memos()
+    tables = _empty_node_tables(monkeypatch)
     crosscheck(live, first, "Dv", "DvStar")
-    before = _memo_infos()
+    used = [kj for kj, table in tables.items() if table.snapshot()[0]]
+    assert sorted(used) == [(0, 0), (0, 1), (1, 0)]
+    before = _table_counts(tables)
     after_first = crosscheck(live, second, "Dv", "DvStar")
-    assert all(a.hits > b.hits for a, b in zip(_memo_infos(), before))
-    _clear_memos()
+    after = _table_counts(tables)
+    assert all(after[kj][0] > before[kj][0] for kj in used)
+    _empty_node_tables(monkeypatch)
     assert after_first == crosscheck(live, second, "Dv", "DvStar")
-    with pytest.raises(ValueError):
-        numcheck._upper_powers(0.5, 0)[0] = 0.0
-    with pytest.raises(ValueError):
-        numcheck._pole_powers(0.5, 0)[0] = 0.0
+    for kj in used:
+        _, w, u = tables[kj].snapshot()
+        with pytest.raises(ValueError):
+            w[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
 
 
-def test_power_memos_stay_bounded():
-    """The memos have a bound, and the 64 scenarios of the captured n=4
-    oracle run stay inside it."""
+def test_power_memos_stay_bounded(monkeypatch):
+    """The node tables have a bound, and the 64 scenarios of the captured
+    n=4 oracle run stay inside it.  Cut down to 8 nodes, a table holds
+    the first 8 nodes and rows of an unlimited one, computes the rest
+    alone, and the crosscheck rows stay those of the unlimited run."""
     live = _live_dim4_reports()
-    _clear_memos()
-    for seed in range(64):
-        crosscheck(live, NumericScenario.draw(4, seed), "Dv", "DvStar")
-    for info in _memo_infos():
-        assert info.maxsize is not None
-        assert 0 < info.currsize <= info.maxsize
+    scenarios = [NumericScenario.draw(4, seed) for seed in range(64)]
+    unlimited = _empty_node_tables(monkeypatch)
+    rows = [crosscheck(live, s, "Dv", "DvStar") for s in scenarios]
+    sizes = [len(table.snapshot()[0]) for table in unlimited.values()]
+    assert all(size <= numcheck._NODE_LIMIT for size in sizes)
+    assert sum(size > 8 for size in sizes) == 3
+    monkeypatch.setattr(numcheck, "_NODE_LIMIT", 8)
+    cut = _empty_node_tables(monkeypatch)
+    cut_rows = [crosscheck(live, s, "Dv", "DvStar") for s in scenarios[:12]]
+    assert cut_rows == rows[:12]
+    for kj, table in cut.items():
+        nodes, w, u = table.snapshot()
+        full_nodes, full_w, full_u = unlimited[kj].snapshot()
+        assert len(nodes) == min(8, len(full_nodes))
+        assert nodes == full_nodes[: len(nodes)]
+        assert np.array_equal(w, full_w[: len(nodes)])
+        assert np.array_equal(u, full_u[: len(nodes)])
 
 
-def test_power_memos_hit_on_the_benchmark_scenarios():
-    """On the 12 scenarios of the crosscheck4 benchmark session nearly
-    every node lookup is a hit: QUADPACK asks for the same nodes in every
-    case and scenario."""
+def test_power_memos_hit_on_the_benchmark_scenarios(monkeypatch):
+    """On the 12 scenarios of the crosscheck4 benchmark session the
+    stacked products serve nearly every node: QUADPACK asks for the same
+    nodes in every case and scenario."""
     live = _live_dim4_reports()
-    _clear_memos()
+    tables = _empty_node_tables(monkeypatch)
     for seed in range(1, 13):
         crosscheck(live, NumericScenario.draw(4, seed), "Dv", "DvStar")
-    hits = sum(info.hits for info in _memo_infos())
-    lookups = hits + sum(info.misses for info in _memo_infos())
-    assert hits >= 0.9 * lookups
+    counts = _table_counts(tables).values()
+    stacked = sum(s for s, _ in counts)
+    alone = sum(a for _, a in counts)
+    assert stacked >= 0.9 * (stacked + alone)
+
+
+_TAIL = st.floats(min_value=1e-6, max_value=1.0 / _T_BOUND)
+_NODES = st.lists(
+    st.sampled_from([0.0, _T_BOUND, -_T_BOUND])
+    | st.floats(min_value=-_T_BOUND, max_value=_T_BOUND)
+    | st.builds(lambda s, t: s / t, st.sampled_from([1.0, -1.0]), _TAIL),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=_NODES,
+    k=st.sampled_from([0, 1]),
+    j=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_product_is_bitwise_the_per_node_product(nodes, k, j, seed):
+    """The stacked product over a table's rows equals w @ gram @ u node by
+    node in every bit and in type, for random nodes (the centre, its ends
+    and the tails s / t) and random complex Gram matrices of mixed
+    scales: numpy makes the same per-node calls for both forms."""
+    rng = np.random.default_rng(seed)
+    shape = (_POLE_ORDER, 2 * _POLE_ORDER)
+    scale = 10.0 ** rng.uniform(-6, 6, size=shape)
+    gram = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+    table = numcheck._NodeTable(k, j)
+    powers = np.arange(1, _POLE_ORDER + 1)
+    poles = np.repeat([1j, -1j], _POLE_ORDER)
+
+    def frozen(x):
+        w = (1.0 / (x - 1j)) ** (powers + k)
+        u = (1.0 / (x - poles)) ** np.tile(powers + j + 1, 2)
+        return w @ gram @ u
+
+    for x in nodes:
+        alone = table.compute(x, gram)
+        assert alone.tobytes() == frozen(x).tobytes()
+    values = table.values(gram)
+    assert list(values) == list(dict.fromkeys(nodes))
+    for x, value in values.items():
+        assert type(value) is np.complex128
+        assert value.tobytes() == frozen(x).tobytes(), x
+
+
+def test_node_tables_filled_by_racing_threads_match_one_thread(monkeypatch):
+    """Four threads filling empty node tables at once, switching every
+    microsecond, give the rows, nodes and counts of one thread: no node
+    is lost or tabled twice, and every lookup is counted once."""
+    live = _live_dim4_reports()
+    scenarios = [NumericScenario.draw(4, seed) for seed in range(8)]
+    single = _empty_node_tables(monkeypatch)
+    want = [crosscheck(live, s, "Dv", "DvStar") for s in scenarios]
+    raced = _empty_node_tables(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(crosscheck, live, s, "Dv", "DvStar") for s in scenarios
+            ]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    for kj, table in raced.items():
+        nodes, w, u = table.snapshot()
+        want_nodes, want_w, want_u = single[kj].snapshot()
+        assert sorted(nodes) == sorted(want_nodes)
+        order = {x: i for i, x in enumerate(want_nodes)}
+        rows = [order[x] for x in nodes]
+        assert np.array_equal(w, want_w[rows])
+        assert np.array_equal(u, want_u[rows])
+        assert sum(_table_counts(raced)[kj]) == sum(_table_counts(single)[kj])
+
+
+def test_threaded_cli_run_on_empty_tables_matches_the_capture():
+    """A fresh interpreter whose two crosscheck workers fill the empty
+    node tables concurrently prints the captured report byte for byte."""
+    argv = ["crosscheck", "--dim", "4", "--left", "Dv", "--right", "DvStar"]
+    argv += ["--scenarios", "4", "--seed", "0", "--emit", "json"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(numcheck.__file__)))
+    env = dict(os.environ, WRES_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "wres.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    capture = DATA / "crosscheck-4-Dv-DvStar-scenarios4-seed0.json"
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == capture.read_bytes()
 
 
 @pytest.mark.parametrize(
