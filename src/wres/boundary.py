@@ -130,6 +130,31 @@ def evaluate_case(
     return CaseReport(case, coeff, trace_integral, contribution)
 
 
+def _unpaired_low_reads(
+    cases: list[CaseTuple], left_order: int, right_order: int
+) -> list[CaseTuple]:
+    """The live cases that read one factor's order below its top against
+    anything but the partner's top.
+
+    A fiber trace reads only the words both factors hold, so a case that
+    pairs each subleading read with the partner's top needs the
+    subleading part only on the top's words.  When the two operator
+    orders sum to n - 2 no case reads anything else, and this list is
+    empty.
+    """
+    out = []
+    for case in cases:
+        if case.alpha:
+            continue
+        left_low = case.r == left_order - 1
+        right_low = case.l == right_order - 1
+        if (left_low and (case.l, case.k) != (right_order, 0)) or (
+            right_low and (case.r, case.j) != (left_order, 0)
+        ):
+            out.append(case)
+    return out
+
+
 def boundary_phi(
     n: int, left_op: str, right_op: str, dual: bool = True
 ) -> tuple[Poly, list[CaseReport]]:
@@ -139,17 +164,33 @@ def boundary_phi(
     operator pairs with worked reference values are accepted.  A pair of
     one operator inverts it once and reads the same symbols on both
     sides.
+
+    Every inverse top is c(xi) times a scalar rational, so it lies on the
+    n vector words c_j, and every live case reads a subleading part only
+    against the partner's top.  Each inverse's subleading part is
+    therefore computed on the vector words alone; both facts are checked,
+    and a ValueError is raised if either fails.
     """
     if (n, left_op, right_op) not in SUPPORTED_PAIRS:
         raise ValueError(
             f"unsupported boundary pair: dimension {n}, {left_op} against {right_op}"
         )
-    left = inverse_symbols(n, left_op, dual)
-    right = left if right_op == left_op else inverse_symbols(n, right_op, dual)
-    reports = [
-        evaluate_case(case, left, right, n)
-        for case in enumerate_cases(n, -left.order, -right.order)
-    ]
+    vectors = frozenset((1 << j, 0) for j in range(n))
+    left = inverse_symbols(n, left_op, dual, words=vectors)
+    right = (
+        left
+        if right_op == left_op
+        else inverse_symbols(n, right_op, dual, words=vectors)
+    )
+    if any(not sym.top.words.keys() <= vectors for sym in (left, right)):
+        raise ValueError("an inverse top leaves the vector words")
+    cases = enumerate_cases(n, -left.order, -right.order)
+    if unpaired := _unpaired_low_reads(cases, left.order, right.order):
+        raise ValueError(
+            "a case reads a subleading part against more than the partner's "
+            f"top: {[case.as_tuple() for case in unpaired]}"
+        )
+    reports = [evaluate_case(case, left, right, n) for case in cases]
     total = Poly.zero()
     for report in reports:
         total = total + report.contribution

@@ -133,7 +133,7 @@ def composite_symbols(n: int, op: str, dual: bool = True) -> Symbol:
     )
 
 
-def invert_symbol(p: Symbol) -> Symbol:
+def invert_symbol(p: Symbol, words: frozenset | None = None) -> Symbol:
     """Leading two orders of the inverse symbol.
 
     The leading symbol of order m must square to the covector norm to
@@ -142,6 +142,12 @@ def invert_symbol(p: Symbol) -> Symbol:
     defining identity checks.  The subleading order comes from the standard
     recursion, again collapsed to the single normal pairing at the base
     point.
+
+    Given a set of Clifford words, the subleading order is computed on
+    those words only; the top and its normal derivative are whole either
+    way.  The recursion's inner sum is then needed only on the words
+    u XOR k, for u a word of the top and k a word asked for, because only
+    those multiply the top into k.
     """
     w = p.top
     q_top = w.scale(RationalXi.inverse_norm_power(p.order))
@@ -152,11 +158,26 @@ def invert_symbol(p: Symbol) -> Symbol:
         )
     q_dxn = -(q_top @ p.top_dxn @ q_top)
     minus_i = RationalXi.const(GR_MINUS_I)
-    q_low = -(q_top @ (p.low @ q_top + w.d_xi_n() @ q_dxn.scale(minus_i)))
+    inner = None
+    if words is not None:
+        inner = frozenset(
+            (s ^ x, t ^ y) for s, t in q_top.words for x, y in words
+        )
+    q_low = -q_top.product(
+        p.low.product(q_top, inner)
+        + w.d_xi_n().product(q_dxn.scale(minus_i), inner),
+        words,
+    )
     return Symbol(-p.order, q_top, q_dxn, q_low)
 
 
-def inverse_symbols(n: int, variant: str, dual: bool = True) -> Symbol:
+def inverse_symbols(
+    n: int, variant: str, dual: bool = True, words: frozenset | None = None
+) -> Symbol:
     """Leading two orders of the inverse of variant's composed symbol:
-    orders -1 and -2 for a first-order operator, -3 and -4 for D3."""
-    return invert_symbol(composite_symbols(n, variant, dual))
+    orders -1 and -2 for a first-order operator, -3 and -4 for D3.
+
+    Given a frozenset of Clifford words, the order below the top is
+    computed on those words only, as in invert_symbol.
+    """
+    return invert_symbol(composite_symbols(n, variant, dual), words)

@@ -23,7 +23,9 @@ at +i is the xin**(a-1) coefficient of pi_plus's numerator.
 MatrixSymbol is the Clifford word map of clifford._WordMap with
 RationalXi coefficients.  Its coefficients are reduced on the cosphere
 only where numerators are multiplied: in scale, which from_clifford and
-identity go through, and in the product and the trace of a product.
+identity go through, and in the product, the product restricted to a
+set of words (which multiplies only the word pairs that land there) and
+the trace of a product.
 Sums, negation, xin-derivatives and projections combine coefficients
 over constants, so they keep sphere normal form by themselves.
 """
@@ -412,11 +414,25 @@ class MatrixSymbol(_WordMap):
         )
 
     def __matmul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
+        return self.product(other)
+
+    def product(
+        self, other: "MatrixSymbol", words: frozenset | None = None
+    ) -> "MatrixSymbol":
+        """self @ other, or only its coefficients on the given words.
+
+        A word pair contributes to the one word it multiplies to, so the
+        pairs whose word is not asked for are dropped before any
+        coefficient is multiplied; each kept word's coefficient is the
+        one the full product has there.
+        """
         self._check(other)
         pairs = (
-            (*word_product(u, v), left, right)
+            (sign, w, left, right)
             for u, left in self.words.items()
             for v, right in other.words.items()
+            for sign, w in (word_product(u, v),)
+            if words is None or w in words
         )
         return MatrixSymbol(self.n, _product_cells(pairs, self.n))
 

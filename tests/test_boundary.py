@@ -1,12 +1,13 @@
 """Boundary term: case enumeration, per-case evaluation, and the full
 dimension-four tables against the frozen references."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from wres import boundary
+from wres import boundary, jets
 from wres.baselines import boundary_reference, compare_cases, compare_total
 from wres.boundary import (
     SUPPORTED_PAIRS,
@@ -18,6 +19,7 @@ from wres.boundary import (
 )
 from wres.exact import GaussianRational, Poly
 from wres.jets import inverse_symbols
+from wres.rational import MatrixSymbol
 
 PAIRS_DIM4 = [
     ("Dv", "Dv"),
@@ -160,34 +162,93 @@ def test_dim4_contributions_have_no_direction_dependence(left_op, right_op):
         ("Dv", "Dv", False, 1),
         ("DvStar", "DvStar", True, 1),
         ("Dv", "DvStar", True, 2),
+        ("Dv", "D3", True, 2),
+        ("Dv", "D3", False, 2),
     ],
 )
 def test_boundary_phi_inverts_each_operator_once(
     monkeypatch, left_op, right_op, dual, calls
 ):
     """A pair of one operator reads one inversion on both sides, and the
-    table is the one two separate inversions give."""
+    table is the one two separate full inversions give."""
+    (n,) = [n for n, l, r in SUPPORTED_PAIRS if (l, r) == (left_op, right_op)]
     seen = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         seen.append(args)
-        return inverse_symbols(*args)
+        return inverse_symbols(*args, **kwargs)
 
     monkeypatch.setattr(boundary, "inverse_symbols", counting)
-    total, reports = boundary_phi(4, left_op, right_op, dual=dual)
+    total, reports = boundary_phi(n, left_op, right_op, dual=dual)
     assert len(seen) == calls
 
-    left = inverse_symbols(4, left_op, dual)
-    right = inverse_symbols(4, right_op, dual)
+    left = inverse_symbols(n, left_op, dual)
+    right = inverse_symbols(n, right_op, dual)
     want = [
-        evaluate_case(case, left, right, 4)
-        for case in enumerate_cases(4, 1, 1)
+        evaluate_case(case, left, right, n)
+        for case in enumerate_cases(n, -left.order, -right.order)
     ]
     assert reports == want
     want_total = Poly.zero()
     for report in want:
         want_total = want_total + report.contribution
     assert total == want_total
+
+
+# the orders of the supported pairs, and the probe family (n, 1, n - 3)
+# whose orders sum to n - 2 like theirs
+_ORDER_PAIRS = sorted(
+    {(n, len(jets._FACTORS[l]), len(jets._FACTORS[r])) for n, l, r in SUPPORTED_PAIRS}
+    | {(n, 1, n - 3) for n in range(4, 17, 2)}
+)
+
+
+@pytest.mark.parametrize("n, p1, p2", _ORDER_PAIRS)
+def test_every_live_low_read_meets_the_partners_top(n, p1, p2):
+    """The boundary tables compute each inverse's order below its top
+    only on the top's words; that is exact because every live case that
+    reads such a part reads the partner's top against it."""
+    cases = enumerate_cases(n, p1, p2)
+    low_reads = 0
+    for case in cases:
+        if case.alpha:
+            continue
+        if case.r == -p1 - 1:
+            low_reads += 1
+            assert (case.l, case.k) == (-p2, 0), case
+        if case.l == -p2 - 1:
+            low_reads += 1
+            assert (case.r, case.j) == (-p1, 0), case
+    assert low_reads == 2
+    assert boundary._unpaired_low_reads(cases, -p1, -p2) == []
+
+
+def test_a_pair_with_more_derivatives_reads_low_against_low():
+    # orders summing to less than n - 2 leave room for cases that read two
+    # subleading parts, or one against a differentiated top
+    unpaired = boundary._unpaired_low_reads(enumerate_cases(6, 1, 1), -1, -1)
+    assert CaseTuple(-2, -2, 0, 1, 0) in unpaired
+    assert CaseTuple(-2, -1, 2, 0, 0) in unpaired
+
+
+def test_boundary_phi_refuses_a_top_off_the_vector_words(monkeypatch):
+    def shifted(*args, **kwargs):
+        sym = inverse_symbols(*args, **kwargs)
+        return replace(sym, top=sym.top + MatrixSymbol.identity(sym.top.n))
+
+    monkeypatch.setattr(boundary, "inverse_symbols", shifted)
+    with pytest.raises(ValueError, match="vector words"):
+        boundary_phi(4, "Dv", "DvStar")
+
+
+def test_boundary_phi_refuses_a_case_that_reads_low_against_low(monkeypatch):
+    # the n + 2 enumeration holds cases with one derivative more
+    real = boundary.enumerate_cases
+    monkeypatch.setattr(
+        boundary, "enumerate_cases", lambda n, p1, p2: real(n + 2, p1, p2)
+    )
+    with pytest.raises(ValueError, match="partner's top"):
+        boundary_phi(4, "Dv", "Dv")
 
 
 def test_supported_pairs_are_frozen():

@@ -183,3 +183,24 @@ def test_invert_rejects_non_clifford_leading_symbol():
     )
     with pytest.raises(ValueError):
         invert_symbol(bad)
+
+
+@pytest.mark.parametrize("dual", [True, False])
+@pytest.mark.parametrize("variant", ["Dv", "DvStar", "D3"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_inversion_on_a_word_set_is_the_full_inversion_there(n, variant, dual):
+    """Restricting the inverse to a set of words changes only its order
+    below the top, and only by dropping the words outside the set."""
+    full = inverse_symbols(n, variant, dual)
+    vectors = frozenset((1 << j, 0) for j in range(n))
+    held = sorted(full.low.words)
+    # every third word the full part holds, and two it cannot hold
+    # (the order below the top is odd in form degree)
+    mixed = frozenset(held[::3] + [(0, 0), (3, 0)])
+    for words in (vectors, mixed, frozenset()):
+        got = inverse_symbols(n, variant, dual, words=words)
+        assert got.order == full.order
+        assert got.top == full.top
+        assert got.top_dxn == full.top_dxn
+        want = {w: c for w, c in full.low.words.items() if w in words}
+        assert got.low == MatrixSymbol(n, want)

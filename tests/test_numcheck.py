@@ -535,6 +535,25 @@ def test_pole_expansion_holds_no_earlier_member_samples():
     assert all(ref() is None for ref in refs)
 
 
+@pytest.mark.parametrize("dual", [True, False])
+@pytest.mark.parametrize("variant", ["Dv", "DvStar"])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_first_order_jets_are_odd_in_form_degree(n, variant, dual):
+    """Every dense jet of a first-order symbol maps even forms to odd
+    ones and back: it vanishes wherever the row and column form degrees
+    have the same parity.  A product of two such matrices is two
+    half-size products, which is what a block path in the oracle would
+    rely on."""
+    fiber = NumericFiber(NumericScenario.draw(n, 47, dual=dual))
+    z = np.array([0.3, -1.7, 2.2])[:, None, None]
+    degree = np.array([bin(s).count("1") for s in range(fiber.dim)])
+    same_parity = (degree[:, None] + degree[None, :]) % 2 == 0
+    for jet in fiber._first_order_symbol(variant, z):
+        jet = np.broadcast_to(jet, (len(z), fiber.dim, fiber.dim))
+        assert np.all(jet[:, same_parity] == 0)
+        assert np.any(jet[:, ~same_parity] != 0)
+
+
 def test_engine_and_oracle_factor_tables_agree():
     """The oracle keeps its own copy of the engine's factor table; a
     difference would show only as failed crosscheck rows."""

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wres.clifford import (
@@ -483,6 +484,45 @@ def _paired_trace(a, b):
 def test_trace_product_matches_the_formed_product_on_random_symbols(a, b):
     assert a.trace_product(b) == _product_trace(a, b) == _paired_trace(a, b)
     assert a.trace_product(a) == _product_trace(a, a)
+
+
+@cache
+def _inverse_parts(n, dual):
+    parts = []
+    for variant in ("Dv", "DvStar", "D3"):
+        inv = inverse_symbols(n, variant, dual)
+        parts += [inv.top, inv.top_dxn, inv.low]
+    return parts
+
+
+@cache
+def _full_product(n, dual, i, j):
+    parts = _inverse_parts(n, dual)
+    return parts[i] @ parts[j]
+
+
+@st.composite
+def restricted_products(draw):
+    """Two inverse-symbol parts, their full product and a set of words:
+    some the product holds, some it lacks, possibly none."""
+    n = draw(st.sampled_from([4, 6]))
+    dual = draw(st.booleans())
+    i, j = draw(st.tuples(st.integers(0, 8), st.integers(0, 8)))
+    full = _full_product(n, dual, i, j)
+    any_word = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    held = st.sampled_from(sorted(full.words)) if full.words else any_word
+    words = draw(st.frozensets(st.one_of(held, any_word), max_size=8))
+    parts = _inverse_parts(n, dual)
+    return parts[i], parts[j], full, words
+
+
+@settings(deadline=None, max_examples=40)
+@given(restricted_products())
+def test_restricted_product_is_the_full_product_on_its_words(case):
+    a, b, full, words = case
+    want = {w: c for w, c in full.words.items() if w in words}
+    assert a.product(b, words) == MatrixSymbol(a.n, want)
+    assert a.product(b, frozenset()) == MatrixSymbol.zero(a.n)
 
 
 # ---------------------------------------------------------------------------
