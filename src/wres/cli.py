@@ -289,11 +289,27 @@ def _poly_to_json(poly: Poly) -> dict:
     return {"terms": terms}
 
 
+def _typed(value, kind: type):
+    """value, if it has the JSON type _emit_json writes there."""
+    if not isinstance(value, kind):
+        raise ValueError(f"not a {kind.__name__} as _emit_json writes it: {value!r}")
+    return value
+
+
+def _fields(data, *keys) -> tuple:
+    """The values under keys of a JSON object that holds exactly those keys."""
+    if _typed(data, dict).keys() != set(keys):
+        raise ValueError(f"not an object with keys {keys} as _emit_json writes it")
+    return tuple(data[key] for key in keys)
+
+
 def _poly_from_json(data: dict) -> Poly:
+    (rows,) = _fields(data, "terms")
     terms = {}
-    for term in data["terms"]:
-        coeff = GaussianRational(term["re"], term["im"])
-        terms[parse_monomial(term["monomial"])] = coeff
+    for row in _typed(rows, list):
+        fields = _fields(row, "monomial", "re", "im")
+        monomial, re, im = (_typed(field, str) for field in fields)
+        terms[parse_monomial(monomial)] = GaussianRational(re, im)
     poly = Poly(terms)
     if any(c.is_zero for c in terms.values()) or _poly_to_json(poly) != data:
         raise ValueError(f"not a polynomial as _poly_to_json writes it: {data!r}")
@@ -332,27 +348,34 @@ def _emit_json(report: Report) -> str:
 
 
 def parse_report(text: str) -> Report:
-    """Inverse of the json emission; round-trips every report exactly."""
-    payload = json.loads(text)
+    """Inverse of the json emission; round-trips every report exactly.
+
+    Raises ValueError on any JSON the emission never writes.
+    """
+    meta, cases, total, discrepancies = _fields(
+        json.loads(text), "meta", "cases", "total", "discrepancies"
+    )
     cases = [
-        (
-            _case_from_json(entry["tuple"]),
-            _poly_from_json(entry["contribution"]),
+        (_case_from_json(case), _poly_from_json(contribution))
+        for case, contribution in (
+            _fields(entry, "tuple", "contribution") for entry in _typed(cases, list)
         )
-        for entry in payload["cases"]
     ]
     discrepancies = [
         Discrepancy(
-            label=entry["label"],
-            computed=_poly_from_json(entry["computed"]),
-            expected=_poly_from_json(entry["expected"]),
+            label=_typed(label, str),
+            computed=_poly_from_json(computed),
+            expected=_poly_from_json(expected),
         )
-        for entry in payload["discrepancies"]
+        for label, computed, expected in (
+            _fields(entry, "label", "computed", "expected")
+            for entry in _typed(discrepancies, list)
+        )
     ]
     return Report(
-        meta=payload["meta"],
+        meta=_typed(meta, dict),
         cases=cases,
-        total=_poly_from_json(payload["total"]),
+        total=_poly_from_json(total),
         discrepancies=discrepancies,
     )
 

@@ -36,14 +36,15 @@ it is computed, so only one factor count's leading values are held at a
 time.  Because the trace is bilinear in the pole terms, each case
 contracts tr(A_k B_m) of the two table entries it reads once, and the
 quadrature integrand is a small scalar form in powers of 1/(x -+ i).
-`line_quad` runs that integrand once per distinct quadrature node: its
-real and imaginary passes, and both tails, read one cache of the values
-computed so far in the same call.  The power vectors at a node depend
-only on the node and the case's jet orders (k, j), not on the scenario,
-and QUADPACK's bisection of the fixed intervals asks for the same few
-hundred nodes in every case.  So each (k, j) keeps one bounded
+`line_quad` runs that integrand once per distinct quadrature node: the
+real and imaginary passes `quad` makes, and both tails, read one cache
+of the values computed so far in the same call.  The power vectors at a
+node depend only on the node and the case's jet orders (k, j), not on
+the scenario, and QUADPACK's bisection of the fixed intervals asks for
+the same few hundred nodes in every case.  So each (k, j) keeps one
 process-wide node table (`_NodeTable`): the nodes asked for so far, in
-insertion order, with their power vectors stacked as rows.  A case
+insertion order, with their power vectors stacked as rows in buffers
+allocated once at the table's bound of `_NODE_LIMIT` rows.  A case
 evaluates its integrand on every tabled node at once, in one stacked
 product that numpy computes with the same per-node calls and so to the
 same bits, and computes alone, then tables, only a node the table
@@ -329,11 +330,12 @@ class _NodeTable:
 
     Row i of W is w = (1/(x - i))**(m + k) and row i of U is
     u = (1/(x -+ i))**(m + j + 1), m = 1.._POLE_ORDER, at the i-th node.
-    At most `_NODE_LIMIT` nodes are tabled.  The table is shared by
-    threads: rows are only appended, under a lock, and `snapshot` hands
-    out read-only views of the rows written so far together with their
-    nodes.  `stacked` and `alone` count the node values served from a
-    stacked product and those computed alone.
+    At most `_NODE_LIMIT` nodes are tabled, and W and U are allocated
+    at that bound once, unwritten.  The table is shared by threads: rows
+    are only appended, under a lock, and `snapshot` hands out read-only
+    views of the rows written so far together with their nodes.
+    `stacked` and `alone` count the node values served from a stacked
+    product and those computed alone.
     """
 
     def __init__(self, k: int, j: int):
@@ -341,8 +343,8 @@ class _NodeTable:
         self._pole = _POLE_EXPONENTS[j]
         self._lock = threading.Lock()
         self._nodes = {}  # node -> None, in insertion order
-        self._w = np.empty((0, _POLE_ORDER), dtype=complex)
-        self._u = np.empty((0, 2 * _POLE_ORDER), dtype=complex)
+        self._w = np.empty((_NODE_LIMIT, _POLE_ORDER), dtype=complex)
+        self._u = np.empty((_NODE_LIMIT, 2 * _POLE_ORDER), dtype=complex)
         # The nodes served from a stack since the last snapshot, which
         # counts them.  list.append is atomic, so an integrand records a
         # node without taking the lock on every call.
@@ -386,18 +388,9 @@ class _NodeTable:
             self.alone += 1
             n = len(self._nodes)
             if x not in self._nodes and n < _NODE_LIMIT:
-                if n == len(self._w):
-                    # earlier snapshots keep viewing the old buffers
-                    self._w, self._u = _grown(self._w), _grown(self._u)
                 self._w[n], self._u[n] = w, u
                 self._nodes[x] = None
         return w @ gram @ u
-
-
-def _grown(rows: np.ndarray) -> np.ndarray:
-    """rows with room for as many rows again, and for at least 64."""
-    room = np.empty((max(len(rows), 64), rows.shape[1]), dtype=complex)
-    return np.concatenate([rows, room])
 
 
 _NODE_TABLES = {(k, j): _NodeTable(k, j) for k in (0, 1) for j in (0, 1)}
@@ -449,26 +442,24 @@ def line_quad(g) -> complex:
 
     The central interval [-T, T], T = _T_BOUND, is adaptive quadrature;
     each tail is mapped to (0, 1/T] by inversion and integrated the same
-    way, so the result estimates the full improper integral.  Real and
-    imaginary parts are separate `quad` runs, which bisect alike and so
-    ask for largely the same nodes.  All six runs share one cache of g,
-    local to the call and keyed by the node x on the real line, so g runs
-    once per distinct node; a tail looks up g(s / t) under its node s / t.
+    way, so the result estimates the full improper integral.  With
+    `complex_func=True`, `quad` integrates the real and imaginary parts
+    in two runs, which bisect alike and so ask for largely the same
+    nodes.  All six runs share one cache of g, local to the call and
+    keyed by the node x on the real line, so g runs once per distinct
+    node; a tail looks up g(s / t) under its node s / t.
     """
     at = cache(g)
 
     def part(fn, a, b):
-        return quad(fn, a, b, limit=200, epsabs=1e-11, epsrel=1e-11)[0]
+        return quad(
+            fn, a, b, limit=200, epsabs=1e-11, epsrel=1e-11, complex_func=True
+        )[0]
 
-    def complex_part(fn, a, b):
-        return part(lambda x: fn(x).real, a, b) + 1j * part(
-            lambda x: fn(x).imag, a, b
-        )
-
-    total = complex_part(at, -_T_BOUND, _T_BOUND)
+    total = part(at, -_T_BOUND, _T_BOUND)
     upper = 1.0 / _T_BOUND
     for sign in (1.0, -1.0):
-        total += complex_part(lambda t, s=sign: at(s / t) / (t * t), 0.0, upper)
+        total += part(lambda t, s=sign: at(s / t) / (t * t), 0.0, upper)
     return total
 
 

@@ -333,6 +333,27 @@ def test_parse_report_rejects_case_tuples_it_never_writes(bad):
         parse_report(json.dumps(payload))
 
 
+# Reports whose JSON shape _emit_json never writes.
+MALFORMED_REPORTS = {
+    "top-level-list": lambda payload: [],
+    "no-cases": lambda payload: {k: v for k, v in payload.items() if k != "cases"},
+    "case-without-contribution": lambda payload: dict(
+        payload, cases=[{"tuple": payload["cases"][0]["tuple"]}]
+    ),
+    "meta-list": lambda payload: dict(payload, meta=[]),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS)
+def test_parse_report_rejects_report_shapes_it_never_writes(malform):
+    """A malformed report raises ValueError, like every other rejection,
+    not the KeyError or TypeError of a lookup that fails."""
+    with open(os.path.join(DATA, "boundary-6-Dv-D3.json"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    with pytest.raises(ValueError):
+        parse_report(json.dumps(malform(payload)))
+
+
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
 def test_parse_report_rejects_polynomial_json_it_never_writes(corrupt):
     with open(os.path.join(DATA, "interior-6-Dv2.json"), encoding="utf-8") as handle:

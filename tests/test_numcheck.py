@@ -853,6 +853,28 @@ def test_node_tables_filled_by_racing_threads_match_one_thread(monkeypatch):
         assert sum(_table_counts(raced)[kj]) == sum(_table_counts(single)[kj])
 
 
+def test_snapshot_fold_keeps_a_node_served_while_it_counts():
+    """The snapshot folds the served list into its count without losing
+    a node an integrand serves between the fold's count and its drop:
+    the raced entry stays in the list and is counted once."""
+
+    class RacedList(list):
+        raced = False
+
+        def __len__(self):
+            size = super().__len__()
+            if not self.raced:
+                self.raced = True
+                self.append(2.0)
+            return size
+
+    table = numcheck._NodeTable(0, 0)
+    table.served = RacedList([0.0, 1.0])
+    table.snapshot()
+    assert table.stacked == 3
+    assert list(table.served) == [2.0]
+
+
 def test_threaded_cli_run_on_empty_tables_matches_the_capture():
     """A fresh interpreter whose two crosscheck workers fill the empty
     node tables concurrently prints the captured report byte for byte."""
