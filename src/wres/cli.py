@@ -289,27 +289,11 @@ def _poly_to_json(poly: Poly) -> dict:
     return {"terms": terms}
 
 
-def _typed(value, kind: type):
-    """value, if it has the JSON type _emit_json writes there."""
-    if not isinstance(value, kind):
-        raise ValueError(f"not a {kind.__name__} as _emit_json writes it: {value!r}")
-    return value
-
-
-def _fields(data, *keys) -> tuple:
-    """The values under keys of a JSON object that holds exactly those keys."""
-    if _typed(data, dict).keys() != set(keys):
-        raise ValueError(f"not an object with keys {keys} as _emit_json writes it")
-    return tuple(data[key] for key in keys)
-
-
 def _poly_from_json(data: dict) -> Poly:
-    (rows,) = _fields(data, "terms")
     terms = {}
-    for row in _typed(rows, list):
-        fields = _fields(row, "monomial", "re", "im")
-        monomial, re, im = (_typed(field, str) for field in fields)
-        terms[parse_monomial(monomial)] = GaussianRational(re, im)
+    for term in data["terms"]:
+        coeff = GaussianRational(term["re"], term["im"])
+        terms[parse_monomial(term["monomial"])] = coeff
     poly = Poly(terms)
     if any(c.is_zero for c in terms.values()) or _poly_to_json(poly) != data:
         raise ValueError(f"not a polynomial as _poly_to_json writes it: {data!r}")
@@ -350,34 +334,32 @@ def _emit_json(report: Report) -> str:
 def parse_report(text: str) -> Report:
     """Inverse of the json emission; round-trips every report exactly.
 
-    Raises ValueError on any JSON the emission never writes.
+    Raises ValueError on a report of a shape the emission never writes,
+    where a lookup in it would raise KeyError or TypeError.
     """
-    meta, cases, total, discrepancies = _fields(
-        json.loads(text), "meta", "cases", "total", "discrepancies"
-    )
-    cases = [
-        (_case_from_json(case), _poly_from_json(contribution))
-        for case, contribution in (
-            _fields(entry, "tuple", "contribution") for entry in _typed(cases, list)
-        )
-    ]
-    discrepancies = [
-        Discrepancy(
-            label=_typed(label, str),
-            computed=_poly_from_json(computed),
-            expected=_poly_from_json(expected),
-        )
-        for label, computed, expected in (
-            _fields(entry, "label", "computed", "expected")
-            for entry in _typed(discrepancies, list)
-        )
-    ]
-    return Report(
-        meta=_typed(meta, dict),
-        cases=cases,
-        total=_poly_from_json(total),
-        discrepancies=discrepancies,
-    )
+    payload = json.loads(text)
+    try:
+        cases = [
+            (
+                _case_from_json(entry["tuple"]),
+                _poly_from_json(entry["contribution"]),
+            )
+            for entry in payload["cases"]
+        ]
+        discrepancies = [
+            Discrepancy(
+                label=entry["label"],
+                computed=_poly_from_json(entry["computed"]),
+                expected=_poly_from_json(entry["expected"]),
+            )
+            for entry in payload["discrepancies"]
+        ]
+        meta, total = payload["meta"], _poly_from_json(payload["total"])
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"not a report as _emit_json writes it: {err!r}") from err
+    if not isinstance(meta, dict):
+        raise ValueError(f"not a meta object as _emit_json writes it: {meta!r}")
+    return Report(meta=meta, cases=cases, total=total, discrepancies=discrepancies)
 
 
 # ---------------------------------------------------------------------------
