@@ -3,7 +3,7 @@
 The engine's exact output is the ground truth; hand-derived reference
 values from the literature serve as regression targets: a frozen table
 per boundary pair, and per interior variant a closed form in n, on
-record at every even n except for the independent-dual mixed variant.
+record at every even n in both drift conventions.
 Compare functions produce structured discrepancy records whenever the
 engine output differs.  A discrepancy is not automatically an engine
 bug: published coefficient tables in this genre carry arithmetic slips,
@@ -31,6 +31,7 @@ from .exact import (
     gen_v,
     gen_vs,
     gen_w,
+    gen_ws,
 )
 from .interior import residue_prefactor
 
@@ -107,35 +108,39 @@ def boundary_reference(
     return None
 
 
-def interior_reference(n: int, variant: str, dual: bool = True) -> Poly | None:
+def interior_reference(n: int, variant: str, dual: bool = True) -> Poly:
     """Expected interior residue density for a Laplacian variant.
 
-    The mixed variant's reference is only on record under the dual
-    pairing; its gradient-trace remainder is the diagonal contraction
-    of the drift derivatives, which the reference keeps explicit.
+    With d = 2^n the fiber trace is -d S/12, plus -d/4 sum V(k)^2 for
+    Dv2 and DvStar2 (VS for DvStar2 with an independent dual), or for
+    DvStarDv d((n-2)/4 <V, VS> - 1/8 (|V|^2 + |VS|^2) - 1/4 sum
+    (W(k,k) + WS(k,k))), where the dual pairing reads VS as V and WS as
+    W.  The gradient-trace remainder is the diagonal contraction of the
+    drift derivatives, which the reference keeps explicit.
     """
-    dim = Fraction(1 << n)
-    mk = gen_vs if variant == "DvStar2" and not dual else gen_v
-    drift = Poly.zero()
-    for k in range(1, n + 1):
-        drift = drift + Poly.gen(mk(k), 2)
-    trace = Poly.gen(gen_s(), coeff=Fraction(-1, 12)) * dim
+    vs = gen_v if dual else gen_vs
+    ws = gen_w if dual else gen_ws
+
+    def over_k(term) -> Poly:
+        return sum((term(k) for k in range(1, n + 1)), Poly.zero())
+
+    trace = Poly.gen(gen_s(), coeff=Fraction(-1, 12))
     if variant in ("Dv2", "DvStar2"):
-        trace = trace + drift * (dim * Fraction(-1, 4))
+        mk = vs if variant == "DvStar2" else gen_v
+        trace = trace + over_k(lambda k: Poly.gen(mk(k), 2)) * Fraction(-1, 4)
     elif variant == "DvStarDv":
-        if not dual:
-            return None
-        diag = Poly.zero()
-        for j in range(1, n + 1):
-            diag = diag + Poly.gen(gen_w(j, j))
         trace = (
             trace
-            + drift * (dim * Fraction(n - 3, 4))
-            + diag * Fraction(-(1 << (n - 1)))
+            + over_k(lambda k: Poly.gen(gen_v(k)) * Poly.gen(vs(k)))
+            * Fraction(n - 2, 4)
+            + over_k(lambda k: Poly.gen(gen_v(k), 2) + Poly.gen(vs(k), 2))
+            * Fraction(-1, 8)
+            + over_k(lambda k: Poly.gen(gen_w(k, k)) + Poly.gen(ws(k, k)))
+            * Fraction(-1, 4)
         )
     else:
         raise ValueError(f"unknown square variant {variant!r}")
-    return residue_prefactor(n) * trace
+    return residue_prefactor(n) * (trace * Fraction(1 << n))
 
 
 def compare_cases(

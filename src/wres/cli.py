@@ -357,7 +357,13 @@ def parse_report(text: str) -> Report:
         meta, total = payload["meta"], _poly_from_json(payload["total"])
     except (KeyError, TypeError) as err:
         raise ValueError(f"not a report as _emit_json writes it: {err!r}") from err
-    if not isinstance(meta, dict):
+    # The text and LaTeX forms print dim as an int and join the operators.
+    if not (
+        isinstance(meta, dict)
+        and type(meta.get("dim")) is int
+        and isinstance(meta.get("operators"), list)
+        and all(isinstance(op, str) for op in meta["operators"])
+    ):
         raise ValueError(f"not a meta object as _emit_json writes it: {meta!r}")
     return Report(meta=meta, cases=cases, total=total, discrepancies=discrepancies)
 
@@ -527,10 +533,8 @@ def _emit_table(
 
 def _run_interior(spec: JobSpec) -> tuple[int, str]:
     total = interior_wres(spec.dim, spec.op, dual=spec.dual)
-    discrepancies = []
     expected = interior_reference(spec.dim, spec.op, dual=spec.dual)
-    if expected is not None:
-        discrepancies = compare_total(total, expected, "interior total")
+    discrepancies = compare_total(total, expected, "interior total")
     return _emit_table(spec, [spec.op], [], total, discrepancies)
 
 

@@ -341,6 +341,11 @@ MALFORMED_REPORTS = {
         payload, cases=[{"tuple": payload["cases"][0]["tuple"]}]
     ),
     "meta-list": lambda payload: dict(payload, meta=[]),
+    "meta-empty": lambda payload: dict(payload, meta={}),
+    "meta-dim-string": lambda payload: dict(payload, meta=dict(payload["meta"], dim="6")),
+    "meta-operators-string": lambda payload: dict(
+        payload, meta=dict(payload["meta"], operators="Dv")
+    ),
 }
 
 

@@ -230,8 +230,8 @@ def test_interior_trace_mixed_independent(n):
 
     The cross terms add to (n-2) d/4 <V, VS>.  Under the dual pairing,
     VS = V and WS = W, so the law becomes (n-3)/4 d |V|^2 -
-    d/2 sum W(j,j) - d S/12, which test_interior_trace_mixed_dual pins;
-    times the residue prefactor it is the recorded reference
+    d/2 sum W(j,j) - d S/12, which test_interior_trace_mixed_dual pins.
+    Times the residue prefactor, either law is the recorded reference
     (test_interior_wres_matches_reference).
     """
     dim = Fraction(1 << n)
@@ -288,17 +288,15 @@ def test_interior_trace_builds_each_drift_action_once(monkeypatch, n, variant, k
 @pytest.mark.parametrize("variant", SQUARE_VARIANTS)
 @pytest.mark.parametrize("dual", [True, False])
 def test_interior_wres_matches_reference(n, variant, dual):
-    """The reference is a closed form in n: it exists for every variant
-    and convention but the independent-dual mixed one, and the engine
-    matches it wherever it exists."""
+    """The reference is a closed form in n for every variant and
+    convention, and the engine matches it."""
     reference = interior_reference(n, variant, dual)
-    if variant == "DvStarDv" and not dual:
-        assert reference is None
-        return
     computed = interior_wres(n, variant, dual)
     assert computed == reference
     assert compare_total(computed, reference, "interior") == []
 
 
-def test_reference_missing_for_independent_mixed():
-    assert interior_reference(4, "DvStarDv", dual=False) is None
+def test_reference_for_independent_mixed_is_the_engine_value():
+    assert interior_reference(4, "DvStarDv", dual=False) == interior_wres(
+        4, "DvStarDv", dual=False
+    )

@@ -1,17 +1,15 @@
-"""The package namespace: every name `wres/__init__.py` imports, and the
-exact path's independence of floats and of the oracle."""
+"""The exact path's independence of floats and of the oracle: its modules
+import only the standard library and each other, hold no float, and load
+neither numpy nor scipy when imported."""
 
 import ast
-import importlib
 import os
+import subprocess
 import sys
 
 import pytest
 
-import wres
-
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "wres")
-INIT = os.path.join(SRC, "__init__.py")
 
 # The exact path, and the two methods through which its values reach the
 # oracle's floats.
@@ -21,28 +19,27 @@ EXACT_MODULES = (
 FLOAT_BRIDGES = {("GaussianRational", "to_complex"), ("Poly", "eval_numeric")}
 
 
-def _reexports():
-    with open(INIT, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            assert node.level == 1, "the package re-exports only its own modules"
-            for alias in node.names:
-                yield node.module, alias.asname or alias.name, alias.name
+# Imports each exact-path module in turn and prints the first after whose
+# import numpy or scipy is loaded, or nothing.
+_IMPORT_PROBE = """
+import importlib, sys
+for module in sys.argv[1:]:
+    importlib.import_module("wres." + module)
+    if "numpy" in sys.modules or "scipy" in sys.modules:
+        print(module)
+        break
+"""
 
 
-def test_every_reexport_resolves_to_its_defining_object():
-    names = list(_reexports())
-    assert len(names) > 50
-    for module_name, exported, original in names:
-        module = importlib.import_module(f"wres.{module_name}")
-        assert hasattr(wres, exported), f"wres.{exported} is missing"
-        obj = getattr(wres, exported)
-        assert obj is getattr(module, original), exported
-        # functions and classes are re-exported from where they are defined
-        defined_in = getattr(obj, "__module__", None)
-        if isinstance(defined_in, str):
-            assert defined_in == module.__name__, exported
+def test_exact_path_loads_no_numpy_or_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *EXACT_MODULES],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(os.path.dirname(SRC))),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("module", EXACT_MODULES)

@@ -74,6 +74,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "node-values-as-python-complex",
+        "src/wres/numcheck.py",
+        "((w[:, None, :] @ gram) @ u[:, :, None])[:, 0, 0]",
+        "((w[:, None, :] @ gram) @ u[:, :, None])[:, 0, 0].tolist()",
+        (
+            "tests/test_numcheck.py::"
+            "test_stacked_product_is_bitwise_the_per_node_product",
+            "tests/test_numcheck.py::"
+            "test_memoized_integrand_matches_frozen_copy_on_every_node",
+            "tests/test_cli.py::test_crosscheck_output_is_byte_identical_to_capture",
+        ),
+    ),
+    Mutant(
         "inverse-inner-sum-on-asked-words",
         "src/wres/jets.py",
         "p.low.product(q_top, inner)\n"
@@ -109,6 +122,33 @@ MUTANTS = (
         '"exterior": (Fraction(-1, 2), Fraction(-1, 2)),',
         ("tests/test_interior.py::test_interior_trace_mixed_independent",),
     ),
+    Mutant(
+        "interior-reference-drops-cross-term",
+        "src/wres/baselines.py",
+        "            + over_k(lambda k: Poly.gen(gen_v(k)) * Poly.gen(vs(k)))\n"
+        "            * Fraction(n - 2, 4)\n",
+        "",
+        ("tests/test_interior.py::test_interior_wres_matches_reference",),
+    ),
+    Mutant(
+        "parse-report-meta-unchecked",
+        "src/wres/cli.py",
+        '        and type(meta.get("dim")) is int\n'
+        '        and isinstance(meta.get("operators"), list)\n'
+        '        and all(isinstance(op, str) for op in meta["operators"])\n',
+        "",
+        (
+            "tests/test_cli.py::"
+            "test_parse_report_rejects_report_shapes_it_never_writes",
+        ),
+    ),
+    Mutant(
+        "package-root-imports-oracle",
+        "src/wres/__init__.py",
+        '__version__ = "0.1.0"',
+        '__version__ = "0.1.0"\nfrom . import numcheck',
+        ("tests/test_package.py::test_exact_path_loads_no_numpy_or_scipy",),
+    ),
 )
 
 _IGNORED = shutil.ignore_patterns(
@@ -120,9 +160,10 @@ def fails(checkout: Path, test: str) -> bool:
     """Whether test fails or errors in checkout.
 
     Each test runs in its own pytest process and is judged by the final
-    summary line: a failing hypothesis test can end its session with an
-    internal error of the plugin's reporting, after which nothing else
-    would run or be listed.
+    summary line, so a test that ends its session early cannot hide
+    another test's verdict.  pyproject.toml ignores the one warning
+    hypothesis raises while reporting a failing test, which under
+    `filterwarnings = error` ended the session with an internal error.
     """
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
