@@ -4,7 +4,7 @@ Everything downstream (Clifford operators, the one-variable rational
 calculus, residue integrals) runs over the two types defined here, so no
 floating point ever enters the exact pipeline.
 
-A scalar is a complex number with Fraction real and imaginary parts.  A
+A scalar is a Gaussian rational (x + y*i)/d held as three reduced ints.  A
 polynomial is a sparse map from monomials to nonzero scalars; a monomial
 is a sorted tuple of (generator, exponent) pairs.  Generators are plain
 tuples tagged by a short string:
@@ -28,42 +28,40 @@ for free.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple, Union
 
 Generator = Tuple
 Monomial = Tuple[Tuple[Generator, int], ...]
 
 
-def _exact(x):
-    """A scalar part in canonical form: int when integral, else Fraction."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quo(x, y):
-    """Exact quotient of two parts; int / int builds a Fraction, never a float."""
-    if type(x) is int and type(y) is int:
-        return _exact(Fraction(x, y))
-    return _exact(x / y)
-
-
 class GaussianRational:
-    """A complex number re + im*i with exact rational parts.
+    """A complex number (x + y*i) / d, stored as three ints x, y and d.
 
-    Each part is a plain int when its denominator is 1 and a Fraction
-    otherwise, so integer arithmetic never enters the Fraction machinery.
-    Most scalars in the pipeline are purely real or purely imaginary, and
-    multiplication takes a shortcut for those.
+    The triple is reduced, d > 0 and gcd(x, y, d) == 1, so each value has
+    one triple and zero is (0, 0, 1).  Arithmetic is int arithmetic with
+    one gcd per result, skipped when d == 1, and multiplication takes a
+    shortcut for the purely real or imaginary scalars most of the pipeline
+    holds.  The parts `re` and `im` are read-only: each is an int when it
+    is integral, else a reduced Fraction.  The constructor takes parts as
+    int, bool, Fraction or text that Fraction() reads.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("x", "y", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _exact(re)
-        self.im = _exact(im)
+        if type(re) is int and type(im) is int:
+            self.x, self.y, self.d = re, im, 1
+            return
+        for part in (re, im):
+            if isinstance(part, (float, complex)):
+                raise TypeError(f"cannot coerce {part!r} to a Gaussian rational")
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # both parts are reduced, so the triple is too
+        self.x = re.numerator * (d // re.denominator)
+        self.y = im.numerator * (d // im.denominator)
+        self.d = d
 
     # -- constructors ------------------------------------------------
 
@@ -72,61 +70,76 @@ class GaussianRational:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+            return _raw(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot coerce {value!r} to a Gaussian rational")
 
-    # -- predicates --------------------------------------------------
+    # -- parts and predicates ----------------------------------------
+
+    @property
+    def re(self):
+        q = Fraction(self.x, self.d)
+        return q.numerator if q.denominator == 1 else q
+
+    @property
+    def im(self):
+        q = Fraction(self.y, self.d)
+        return q.numerator if q.denominator == 1 else q
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.x and not self.y
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
-        return _raw(_exact(self.re + other.re), _exact(self.im + other.im))
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.x + other.x, self.y + other.y, d)
+        return _reduced(self.x * e + other.x * d, self.y * e + other.y * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.of(other)
-        return _raw(_exact(self.re - other.re), _exact(self.im - other.im))
+        return self + -GaussianRational.of(other)
 
     def __rsub__(self, other):
         return GaussianRational.of(other) - self
 
     def __neg__(self):
-        return _raw(-self.re, -self.im)
+        return _raw(-self.x, -self.y, self.d)
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, e = self.x, self.y, other.x, other.y
+        d = self.d * other.d
         if not b:
-            return _raw(_exact(a * c) if c else 0, _exact(a * d) if d else 0)
+            return _reduced(a * c, a * e, d)
         if not a:
-            return _raw(_exact(-b * d) if d else 0, _exact(b * c) if c else 0)
-        if not d:
-            return _raw(_exact(a * c) if c else 0, _exact(b * c) if c else 0)
+            return _reduced(-b * e, b * c, d)
+        if not e:
+            return _reduced(a * c, b * c, d)
         if not c:
-            return _raw(_exact(-b * d), _exact(a * d))
-        return _raw(_exact(a * c - b * d), _exact(a * d + b * c))
+            return _reduced(-b * e, a * e, d)
+        return _reduced(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not d:
-            if not c:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return _raw(_quo(a, c) if a else 0, _quo(b, c) if b else 0)
-        n = c * c + d * d
-        return _raw(_quo(a * c + b * d, n), _quo(b * c - a * d, n))
+        # (a + b i)/p divided by (c + e i)/q is q (a + b i)(c - e i) / (p (c^2 + e^2))
+        a, b, c, e, q, p = self.x, self.y, other.x, other.y, other.d, self.d
+        if e:
+            n = p * (c * c + e * e)
+            return _reduced((a * c + b * e) * q, (b * c - a * e) * q, n)
+        if not c:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        if c < 0:
+            a, b, c = -a, -b, -c
+        return _reduced(a * q, b * q, p * c)
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
@@ -139,14 +152,16 @@ class GaussianRational:
     # -- comparison / hashing ----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and not self.im
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.x == other.x and self.y == other.y and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            # a Fraction is reduced too, so equal values agree term by term
+            n, d = other.numerator, other.denominator
+            return not self.y and self.x == n and self.d == d
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        return hash((self.re, self.im)) if self.y else hash(self.re)
 
     # -- conversion --------------------------------------------------
 
@@ -173,11 +188,22 @@ def _power(base, k: int, one):
     return out
 
 
-def _raw(re, im) -> GaussianRational:
-    # skips canonicalization: both parts must already be as _exact leaves them
+def _raw(x: int, y: int, d: int) -> GaussianRational:
+    # skips reduction: the triple must already be reduced, with d > 0
     z = object.__new__(GaussianRational)
-    z.re = re
-    z.im = im
+    z.x, z.y, z.d = x, y, d
+    return z
+
+
+def _reduced(x: int, y: int, d: int) -> GaussianRational:
+    # (x + y i) / d for d > 0, reduced; it builds the scalar itself rather
+    # than call _raw, because it is the exact engine's hottest call
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    z = object.__new__(GaussianRational)
+    z.x, z.y, z.d = x, y, d
     return z
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,8 +160,39 @@ def test_scalar_powers_match_pair_reference(a, b, k):
     _assert_matches(x**k, ref)
 
 
+# operands as the constructor takes them: int, Fraction or text
+_operands = st.one_of(_parts, _parts.map(str))
+
+
+def _assert_reduced(z):
+    assert z.d > 0 and gcd(z.x, z.y, z.d) == 1
+    if z.is_zero:
+        assert (z.x, z.y, z.d) == (0, 0, 1)
+
+
+@_props
+@given(_operands, _operands, _operands, _operands, st.integers(-3, 4))
+@example("1/2", 0, "1/2", 0, 2)
+@example("3/4", "1/4", "-3/4", "3/4", -1)
+def test_every_stored_scalar_is_reduced(a, b, c, d, k):
+    # re and im reduce on the way out, so only the stored triple shows
+    # whether a result was left unreduced
+    x, y = GaussianRational(a, b), GaussianRational(c, d)
+    s = Fraction(c)
+    results = [x, y, x + y, x - y, x * y, -x, x + s, s - x, x * s, x**abs(k)]
+    if not y.is_zero:
+        results.append(x / y)
+    if s:
+        results.append(x / s)
+    if not x.is_zero:
+        results += [s / x, x**k]
+    for z in results:
+        _assert_reduced(z)
+
+
 @_props
 @given(_parts, _parts, _parts, _parts)
+@example(Fraction(15, 2), Fraction(-41, 8), 0, 0)
 def test_scalar_equality_and_hash_follow_the_value(a, b, c, d):
     x, y = GaussianRational(a, b), GaussianRational(c, d)
     equal = (Fraction(a), Fraction(b)) == (Fraction(c), Fraction(d))
@@ -170,6 +202,8 @@ def test_scalar_equality_and_hash_follow_the_value(a, b, c, d):
     # the same value built from Fraction parts is the same scalar
     same = GaussianRational(Fraction(a), Fraction(b))
     assert x == same and hash(x) == hash(same)
+    # and so is the value read from text, as parse_report passes it
+    assert GaussianRational(str(a), str(b)) == same
     assert (x == Fraction(a)) == (not b)
     assert (x == a) == (not b)
     # a real scalar hashes like the number it equals, so sets and dicts agree
@@ -205,11 +239,22 @@ def test_poly_meets_exact_scalars_on_either_side():
     [
         # a float never enters the exact path
         (lambda: Poly.gen(gen_h()) * 1.5, TypeError),
+        (lambda: GaussianRational(0.1), TypeError),
+        (lambda: GaussianRational(1, 0.5), TypeError),
+        (lambda: GaussianRational(1j), TypeError),
         (lambda: GaussianRational.of("1"), TypeError),
         (lambda: gen_xi(0), ValueError),
         (lambda: Poly.gen(gen_h()) ** -1, ValueError),
     ],
-    ids=["poly-times-float", "scalar-of-text", "xi-index-zero", "negative-power"],
+    ids=[
+        "poly-times-float",
+        "scalar-of-float",
+        "scalar-of-float-imaginary-part",
+        "scalar-of-complex",
+        "scalar-of-text",
+        "xi-index-zero",
+        "negative-power",
+    ],
 )
 def test_exact_layer_rejects_bad_operands(build, error):
     with pytest.raises(error):

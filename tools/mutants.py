@@ -143,6 +143,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "scalar-kept-unreduced",
+        "src/wres/exact.py",
+        "        g = gcd(x, y, d)\n",
+        "        g = 1\n",
+        (
+            "tests/test_exact.py::test_every_stored_scalar_is_reduced",
+            "tests/test_exact.py::test_scalar_field_axioms",
+        ),
+    ),
+    Mutant(
+        "scalar-division-conjugate-sign",
+        "src/wres/exact.py",
+        "(b * c - a * e) * q",
+        "(a * e - b * c) * q",
+        ("tests/test_exact.py::test_scalar_arithmetic_matches_pair_reference",),
+    ),
+    Mutant(
         "package-root-imports-oracle",
         "src/wres/__init__.py",
         '__version__ = "0.1.0"',
