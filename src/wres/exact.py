@@ -400,6 +400,8 @@ class Poly:
 
     @staticmethod
     def gen(generator: Generator, exp: int = 1, coeff: Scalar = 1) -> "Poly":
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of a polynomial generator")
         c = GaussianRational.of(coeff)
         if c.is_zero:
             return Poly()

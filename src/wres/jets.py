@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .clifford import (
     build_connection_ops,
@@ -103,7 +102,39 @@ def operator_symbols(n: int, variant: str, dual: bool = True) -> Symbol:
 # composition and inversion
 
 
-def compose_symbols(left: Symbol, right: Symbol) -> Symbol:
+def _preimage(words: frozenset | None, top: MatrixSymbol) -> frozenset | None:
+    """The words u with u XOR v in words for some word v of top: the only
+    words of a left factor that its product with top reads on words.
+    None, for every word, stays None."""
+    if words is None:
+        return None
+    return frozenset((s ^ x, t ^ y) for s, t in top.words for x, y in words)
+
+
+def _compose_tops(
+    top: MatrixSymbol, top_dxn: MatrixSymbol, right: Symbol
+) -> tuple[MatrixSymbol, MatrixSymbol]:
+    """The top of a left factor composed with right, and its normal
+    derivative, the Leibniz product."""
+    return top @ right.top, top_dxn @ right.top + top @ right.top_dxn
+
+
+def _compose_low(
+    top: MatrixSymbol, low: MatrixSymbol, right: Symbol, words: frozenset | None
+) -> MatrixSymbol:
+    """The order below the top of a left factor composed with right, on
+    words (None for every word)."""
+    minus_i = RationalXi.const(GR_MINUS_I)
+    return (
+        top.product(right.low, words)
+        + low.product(right.top, words)
+        + top.d_xi_n().product(right.top_dxn.scale(minus_i), words)
+    )
+
+
+def compose_symbols(
+    left: Symbol, right: Symbol, words: frozenset | None = None
+) -> Symbol:
     """Leading two orders of the composed symbol at the base point.
 
     The full composition sums derivative pairings over all covector
@@ -112,25 +143,59 @@ def compose_symbols(left: Symbol, right: Symbol) -> Symbol:
     survives at the first subleading order.  The top's normal derivative
     is the Leibniz product.  Orders below the two leading ones are
     dropped; they are never consumed.
+
+    Given a set of Clifford words, the subleading order is computed on
+    those words only; the top and its normal derivative are whole either
+    way.
     """
-    minus_i = RationalXi.const(GR_MINUS_I)
     return Symbol(
         left.order + right.order,
-        left.top @ right.top,
-        left.top_dxn @ right.top + left.top @ right.top_dxn,
-        left.top @ right.low
-        + left.low @ right.top
-        + left.top.d_xi_n() @ right.top_dxn.scale(minus_i),
+        *_compose_tops(left.top, left.top_dxn, right),
+        _compose_low(left.top, left.low, right, words),
     )
 
 
-def composite_symbols(n: int, op: str, dual: bool = True) -> Symbol:
-    """Leading two orders of the graded symbol of op's factor product."""
+def _composite(n: int, op: str, dual: bool, asked) -> Symbol:
+    """op's factor product, its subleading part on the words that
+    asked(top) names for the product's top (None for every word).
+
+    Each distinct factor symbol is built once.  The partial products'
+    tops and their normal derivatives come first, whole; then the word
+    set is carried back through the left fold, because a partial
+    product's subleading part is read only against the next factor's
+    top, on the preimage of the next step's words under that top.
+    """
     if op not in _FACTORS:
         raise ValueError(f"unknown operator selector {op!r}")
-    return reduce(
-        compose_symbols, (operator_symbols(n, f, dual) for f in _FACTORS[op])
-    )
+    built = {f: operator_symbols(n, f, dual) for f in dict.fromkeys(_FACTORS[op])}
+    factors = [built[f] for f in _FACTORS[op]]
+    tops = [(factors[0].top, factors[0].top_dxn)]
+    for right in factors[1:]:
+        tops.append(_compose_tops(*tops[-1], right))
+    wanted = [asked(tops[-1][0])]
+    for right in reversed(factors[2:]):
+        wanted.append(_preimage(wanted[-1], right.top))
+    low = factors[0].low
+    for (top, _), right, words in zip(tops, factors[1:], reversed(wanted)):
+        low = _compose_low(top, low, right, words)
+    if wanted[0] is not None:
+        # a one-factor product holds its factor's whole part until here
+        kept = {w: c for w, c in low.words.items() if w in wanted[0]}
+        low = MatrixSymbol(n, kept)
+    return Symbol(sum(f.order for f in factors), *tops[-1], low)
+
+
+def composite_symbols(
+    n: int, op: str, dual: bool = True, words: frozenset | None = None
+) -> Symbol:
+    """Leading two orders of the graded symbol of op's factor product.
+
+    Given a set of Clifford words, the subleading order is computed on
+    those words only, and so is every partial product's, on the words
+    the next composition step reads of it; the top and its normal
+    derivative are whole either way.
+    """
+    return _composite(n, op, dual, lambda top: words)
 
 
 def invert_symbol(p: Symbol, words: frozenset | None = None) -> Symbol:
@@ -158,11 +223,7 @@ def invert_symbol(p: Symbol, words: frozenset | None = None) -> Symbol:
         )
     q_dxn = -(q_top @ p.top_dxn @ q_top)
     minus_i = RationalXi.const(GR_MINUS_I)
-    inner = None
-    if words is not None:
-        inner = frozenset(
-            (s ^ x, t ^ y) for s, t in q_top.words for x, y in words
-        )
+    inner = _preimage(words, q_top)
     q_low = -q_top.product(
         p.low.product(q_top, inner)
         + w.d_xi_n().product(q_dxn.scale(minus_i), inner),
@@ -178,6 +239,13 @@ def inverse_symbols(
     orders -1 and -2 for a first-order operator, -3 and -4 for D3.
 
     Given a frozenset of Clifford words, the order below the top is
-    computed on those words only, as in invert_symbol.
+    computed on those words only, as in invert_symbol, and the composed
+    symbol's order below its top only on the words that reads: the
+    preimage of invert_symbol's inner words under the top, whose words
+    are the inverse top's.
     """
-    return invert_symbol(composite_symbols(n, variant, dual), words)
+
+    def asked(top: MatrixSymbol) -> frozenset | None:
+        return _preimage(_preimage(words, top), top)
+
+    return invert_symbol(_composite(n, variant, dual, asked), words)

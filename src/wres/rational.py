@@ -11,14 +11,19 @@ full covector length squared is 1 + xin**2 on the cosphere.
 
 Canonical form: trailing zero numerator coefficients are stripped, and
 common factors (xin -+ i) are divided out, so a and b are the true pole
-orders.  The projection pi_plus keeps the principal part at +i (the
-orientation fixed by the half-space calculus) and pi_minus, f - pi_plus(f),
-the one at -i.  With t = xin - i the principal part at +i is T(t) / t**a,
-where T is the Taylor polynomial below degree a of N / (t + 2i)**b: N is
-shifted to t, multiplied by the truncated series of (t + 2i)**-b and
-shifted back.  The real-line integral closes the contour upward, which is
-exact for any proper rational integrand with quadratic decay; the residue
-at +i is the xin**(a-1) coefficient of pi_plus's numerator.
+orders.  Whether (xin - i) or (xin + i) divides the numerator is tested by
+evaluating it at i or -i, where each power of the root turns a
+coefficient's parts by a quarter turn; a synthetic division runs only
+when that value is zero.  The projection pi_plus keeps the principal part
+at +i (the orientation fixed by the half-space calculus) and pi_minus,
+f - pi_plus(f), the one at -i.  With t = xin - i the principal part at +i
+is T(t) / t**a, where T is the Taylor polynomial below degree a of
+N / (t + 2i)**b: N is shifted to t, multiplied by the truncated series of
+(t + 2i)**-b and shifted back.  The real-line integral closes the contour
+upward, which is exact for any proper rational integrand with quadratic
+decay; the residue at +i is T's t**(a-1) coefficient, read from the
+Taylor coefficients of N at i and the series of (t + 2i)**-b without
+building the principal part.
 
 MatrixSymbol is the Clifford word map of clifford._WordMap with
 RationalXi coefficients.  Its coefficients are reduced on the cosphere
@@ -67,6 +72,37 @@ def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> tuple[list, P
     for p in reversed(num):
         partial.append(p + partial[-1] * root)
     return partial[-2:0:-1], partial[-1]
+
+
+def _vanishes_at(num: Sequence[Poly], root: GaussianRational) -> bool:
+    """Whether num(root) is zero, for root i or -i.
+
+    The value is the sum of c_k root**k, and each power of root turns a
+    coefficient's parts by a quarter turn, (x + y i) i = -y + x i, so it is
+    summed per monomial in ints, with no product and no Poly built.
+    """
+    step = root.y  # root is step * i
+    sums: dict = {}
+    for k, p in enumerate(num):
+        turn = k * step % 4
+        for m, c in p.terms.items():
+            x, y, d = c.x, c.y, c.d
+            if turn == 1:
+                x, y = -y, x
+            elif turn == 2:
+                x, y = -x, -y
+            elif turn == 3:
+                x, y = y, -x
+            acc = sums.get(m)
+            if acc is None:
+                sums[m] = [x, y, d]
+            elif acc[2] == d:
+                acc[0] += x
+                acc[1] += y
+            else:
+                e = acc[2]
+                sums[m] = [acc[0] * d + x * e, acc[1] * d + y * e, e * d]
+    return not any(x or y for x, y, _ in sums.values())
 
 
 def _convolve_into(out: list, f: Sequence[Poly], g: Sequence[Poly]) -> None:
@@ -123,11 +159,8 @@ class RationalXi:
         # dividing a nonzero numerator never empties it
         orders = [a, b] if coeffs else [0, 0]
         for k, root in enumerate((GR_I, GR_MINUS_I)):
-            while orders[k]:
-                quot, rem = _divide_linear(coeffs, root)
-                if not rem.is_zero:
-                    break
-                coeffs = quot
+            while orders[k] and _vanishes_at(coeffs, root):
+                coeffs = _divide_linear(coeffs, root)[0]
                 orders[k] -= 1
         self.num = tuple(coeffs)
         self.a, self.b = orders
@@ -145,6 +178,8 @@ class RationalXi:
     @staticmethod
     def monomial(coeff, power: int = 0) -> "RationalXi":
         """coeff * xin**power."""
+        if power < 0:
+            raise ValueError(f"negative power {power} of the normal covariable")
         num = [Poly.zero()] * power + [Poly.of(coeff)]
         return RationalXi(num)
 
@@ -251,6 +286,18 @@ def _require_proper(f: RationalXi, op: str) -> None:
         )
 
 
+def _pole_series(b: int, size: int) -> list:
+    """Taylor coefficients below degree size of (t + 2i)**-b, the factor
+    of a principal part at +i that the pole at -i contributes:
+    (2i)**-b binom(b+j-1, j) (i/2)**j."""
+    series = []
+    c = _TWO_I ** -b
+    for j in range(size):
+        series.append(c)
+        c = c * (_HALF_I * Fraction(b + j, j + 1))
+    return series
+
+
 def pi_plus(f: RationalXi) -> RationalXi:
     """Keep the principal part at +i.
 
@@ -263,10 +310,7 @@ def pi_plus(f: RationalXi) -> RationalXi:
     a, b = f.a, f.b
     if a == 0:
         return RationalXi([])
-    # Taylor coefficients of (t + 2i)**-b: (2i)**-b binom(b+j-1, j) (i/2)**j
-    series = [Poly.const(_TWO_I ** -b)]
-    for j in range(a - 1):
-        series.append(series[-1] * (_HALF_I * Fraction(b + j, j + 1)))
+    series = [Poly.const(c) for c in _pole_series(b, a)]
     taylor = _mul_coeffs(_taylor_shift(f.num, GR_I, a), series)[:a]
     return RationalXi(_taylor_shift(taylor, GR_MINUS_I, a), a, 0)
 
@@ -293,10 +337,13 @@ def integrate_real_line(f: RationalXi) -> Poly:
             f"integrand decays too slowly: numerator degree {f.degree} "
             f"with pole orders ({f.a}, {f.b})"
         )
-    plus = pi_plus(f)
-    if plus.is_zero or plus.degree < plus.a - 1:
-        return Poly.zero()
-    return Poly.gen(gen_pi()) * plus.num[plus.a - 1] * _TWO_I
+    a = f.a
+    # with t = xin - i the residue is the t**(a-1) coefficient of
+    # N(t + i) (t + 2i)**-b, summed from the two series' coefficients
+    residue: dict = {}
+    for p, c in zip(_taylor_shift(f.num, GR_I, a), reversed(_pole_series(f.b, a))):
+        _add_product_into(residue, p, Poly.const(c * _TWO_I))
+    return Poly.gen(gen_pi()) * Poly._own(residue)
 
 
 def sphere_integrate(poly: Poly, n: int) -> Poly:

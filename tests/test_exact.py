@@ -245,6 +245,7 @@ def test_poly_meets_exact_scalars_on_either_side():
         (lambda: GaussianRational.of("1"), TypeError),
         (lambda: gen_xi(0), ValueError),
         (lambda: Poly.gen(gen_h()) ** -1, ValueError),
+        (lambda: Poly.gen(gen_h(), -1), ValueError),
     ],
     ids=[
         "poly-times-float",
@@ -254,6 +255,7 @@ def test_poly_meets_exact_scalars_on_either_side():
         "scalar-of-text",
         "xi-index-zero",
         "negative-power",
+        "negative-exponent",
     ],
 )
 def test_exact_layer_rejects_bad_operands(build, error):

@@ -204,3 +204,46 @@ def test_inversion_on_a_word_set_is_the_full_inversion_there(n, variant, dual):
         assert got.top_dxn == full.top_dxn
         want = {w: c for w, c in full.low.words.items() if w in words}
         assert got.low == MatrixSymbol(n, want)
+
+
+def _asked_by_inversion(top_words, words):
+    """The words of a composite's order below the top that inverting it
+    on words reads: u XOR v, for u in the inner sum's preimage of words
+    under the top and v a top word."""
+    inner = {(s ^ x, t ^ y) for s, t in top_words for x, y in words}
+    return frozenset((s ^ x, t ^ y) for s, t in top_words for x, y in inner)
+
+
+@pytest.mark.parametrize("dual", [True, False])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_composite_on_a_word_set_is_the_full_composite_there(n, dual):
+    """Restricting D3's composite to a set of words changes only its
+    order below the top, and only by dropping the words outside it."""
+    full = composite_symbols(n, "D3", dual)
+    vectors = frozenset((1 << j, 0) for j in range(n))
+    held = sorted(full.low.words)
+    # every third word the full part holds, and two it cannot hold
+    # (the order below the top is odd in form degree)
+    lacking = [(0, 0), (3, 0)]
+    assert not set(lacking) & set(held)
+    mixed = frozenset(held[::3] + lacking)
+    for words in (_asked_by_inversion(full.top.words, vectors), mixed, frozenset()):
+        got = composite_symbols(n, "D3", dual, words)
+        assert got.order == full.order
+        assert got.top == full.top
+        assert got.top_dxn == full.top_dxn
+        want = {w: c for w, c in full.low.words.items() if w in words}
+        assert got.low == MatrixSymbol(n, want)
+
+
+def test_composition_on_a_word_set_is_the_full_composition_there():
+    n = 6
+    left = compose_symbols(operator_symbols(n, "DvStar"), operator_symbols(n, "Dv"))
+    right = operator_symbols(n, "DvStar")
+    full = compose_symbols(left, right)
+    # every second word the full part holds, and one it cannot hold
+    words = frozenset(sorted(full.low.words)[::2] + [(0, 0)])
+    got = compose_symbols(left, right, words)
+    assert (got.order, got.top, got.top_dxn) == (full.order, full.top, full.top_dxn)
+    want = {w: c for w, c in full.low.words.items() if w in words}
+    assert got.low == MatrixSymbol(n, want)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wres.clifford import (
@@ -23,6 +23,7 @@ from wres.exact import (
     _add_product_into,
     gen_h,
     gen_omega,
+    gen_pi,
     gen_xi,
     sphere_normal_form,
 )
@@ -33,6 +34,7 @@ from wres.rational import (
     _divide_linear,
     _mul_coeffs,
     _taylor_shift,
+    _vanishes_at,
     integrate_real_line,
     pi_minus,
     pi_plus,
@@ -125,6 +127,8 @@ def test_projection_idempotent_and_complementary():
 def test_rational_rejects_a_negative_pole_order():
     with pytest.raises(ValueError):
         RationalXi((Poly.const(1),), -1, 0)
+    with pytest.raises(ValueError):
+        RationalXi.monomial(1, -1)
 
 
 def test_rational_repr_lists_numerator_and_poles():
@@ -385,6 +389,45 @@ def test_divide_linear_matches_the_earlier_division(data, root):
 def test_taylor_shift_matches_the_earlier_horner_loop(data, c, size):
     num = data.draw(numerators(c))
     assert _taylor_shift(num, c, size) == _taylor_shift_parent(num, c, size)
+
+
+@given(st.data(), st.sampled_from([GR_I, GR_MINUS_I]), _roots)
+def test_vanishing_at_a_pole_is_a_zero_division_remainder(data, root, factor):
+    """Evaluating a numerator at +-i by quarter turns agrees with the
+    remainder of the synthetic division, also on numerators built as
+    N (xin - factor)**k, so with factor = root they vanish there."""
+    num = data.draw(numerators(factor))
+    assert _vanishes_at(num, root) == _divide_linear(num, root)[1].is_zero
+
+
+def _residue_by_projection(f):
+    """The earlier route: 2 pi i times the xin**(a-1) coefficient of the
+    canonical numerator of pi_plus(f), over (xin - i)**a."""
+    plus = pi_plus(f)
+    if plus.is_zero or plus.degree < plus.a - 1:
+        return Poly.zero()
+    return Poly.gen(gen_pi()) * plus.num[plus.a - 1] * GaussianRational(0, 2)
+
+
+@st.composite
+def decaying(draw):
+    """A proper rational with quadratic decay, its numerator coefficients
+    a constant plus a multiple of H."""
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(0, 3))
+    coeffs = draw(st.lists(st.tuples(_gaussian, _gaussian), max_size=max(a + b - 1, 0)))
+    num = [Poly.const(c) + Poly.gen(gen_h(), coeff=h) for c, h in coeffs]
+    return RationalXi(num, a, b)
+
+
+# no pole at +i, so a zero principal part
+@example(RationalXi([Poly.const(1)], 0, 2))
+# principal part 1/(xin - i)**2, whose xin**(a-1) coefficient is zero: the
+# canonical numerator is shorter than the pole order
+@example(RationalXi([Poly.const(GR_I), Poly.const(1)], 2, 1))
+@given(decaying())
+def test_residue_is_the_principal_part_coefficient(f):
+    assert integrate_real_line(f) == _residue_by_projection(f)
 
 
 def _to_sympy(sp, f, x):

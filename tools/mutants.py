@@ -99,6 +99,39 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "composite-low-on-asked-words",
+        "src/wres/jets.py",
+        "wanted.append(_preimage(wanted[-1], right.top))",
+        "wanted.append(wanted[-1])",
+        (
+            "tests/test_jets.py::"
+            "test_composite_on_a_word_set_is_the_full_composite_there",
+            "tests/test_jets.py::"
+            "test_inversion_on_a_word_set_is_the_full_inversion_there",
+        ),
+    ),
+    Mutant(
+        "canon-rotation-sign",
+        "src/wres/rational.py",
+        "turn = k * step % 4",
+        "turn = k % 4",
+        (
+            "tests/test_rational.py::"
+            "test_vanishing_at_a_pole_is_a_zero_division_remainder",
+            "tests/test_boundary.py::test_dim4_tables_match_reference",
+        ),
+    ),
+    Mutant(
+        "residue-next-taylor-coefficient",
+        "src/wres/rational.py",
+        "    a = f.a\n",
+        "    a = f.a + 1\n",
+        (
+            "tests/test_rational.py::test_residue_is_the_principal_part_coefficient",
+            "tests/test_boundary.py::test_dim4_tables_match_reference",
+        ),
+    ),
+    Mutant(
         "boundary-drops-a-vector-word",
         "src/wres/boundary.py",
         "vectors = frozenset((1 << j, 0) for j in range(n))",
