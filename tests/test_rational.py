@@ -415,7 +415,8 @@ def decaying(draw):
     a constant plus a multiple of H."""
     a = draw(st.integers(0, 4))
     b = draw(st.integers(0, 3))
-    coeffs = draw(st.lists(st.tuples(_gaussian, _gaussian), max_size=max(a + b - 1, 0)))
+    size = max(a + b - 1, 0)
+    coeffs = draw(st.lists(st.tuples(_gaussian, _gaussian), max_size=size))
     num = [Poly.const(c) + Poly.gen(gen_h(), coeff=h) for c, h in coeffs]
     return RationalXi(num, a, b)
 
