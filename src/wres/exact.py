@@ -366,6 +366,37 @@ def _add_product_into(out: dict, p: "Poly", q: "Poly") -> None:
                     out[m] = s
 
 
+def _vanishes_at(num: Iterable["Poly"], root: GaussianRational) -> bool:
+    """Whether the sum of num[k] * root**k is zero, for root i or -i.
+
+    Each power of root turns a coefficient's parts by a quarter turn,
+    (x + y i) i = -y + x i, so the sum is taken per monomial on the
+    scalars' integer triples, with no product taken and no Poly built.
+    """
+    step = root.y  # root is step * i
+    sums: dict = {}
+    for k, p in enumerate(num):
+        turn = k * step % 4
+        for m, c in p.terms.items():
+            x, y, d = c.x, c.y, c.d
+            if turn == 1:
+                x, y = -y, x
+            elif turn == 2:
+                x, y = -x, -y
+            elif turn == 3:
+                x, y = y, -x
+            acc = sums.get(m)
+            if acc is None:
+                sums[m] = [x, y, d]
+            elif acc[2] == d:
+                acc[0] += x
+                acc[1] += y
+            else:
+                e = acc[2]
+                sums[m] = [acc[0] * d + x * e, acc[1] * d + y * e, e * d]
+    return not any(x or y for x, y, _ in sums.values())
+
+
 class Poly:
     """Sparse multivariate polynomial over Gaussian rationals.
 

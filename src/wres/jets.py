@@ -132,9 +132,7 @@ def _compose_low(
     )
 
 
-def compose_symbols(
-    left: Symbol, right: Symbol, words: frozenset | None = None
-) -> Symbol:
+def compose_symbols(left: Symbol, right: Symbol) -> Symbol:
     """Leading two orders of the composed symbol at the base point.
 
     The full composition sums derivative pairings over all covector
@@ -143,27 +141,27 @@ def compose_symbols(
     survives at the first subleading order.  The top's normal derivative
     is the Leibniz product.  Orders below the two leading ones are
     dropped; they are never consumed.
-
-    Given a set of Clifford words, the subleading order is computed on
-    those words only; the top and its normal derivative are whole either
-    way.
     """
     return Symbol(
         left.order + right.order,
         *_compose_tops(left.top, left.top_dxn, right),
-        _compose_low(left.top, left.low, right, words),
+        _compose_low(left.top, left.low, right, None),
     )
 
 
-def _composite(n: int, op: str, dual: bool, asked) -> Symbol:
-    """op's factor product, its subleading part on the words that
-    asked(top) names for the product's top (None for every word).
+def _composite(n: int, op: str, dual: bool, words: frozenset | None) -> Symbol:
+    """op's factor product, its subleading part computed where inverting
+    it on words reads it (None for every word).
 
     Each distinct factor symbol is built once.  The partial products'
-    tops and their normal derivatives come first, whole; then the word
-    set is carried back through the left fold, because a partial
-    product's subleading part is read only against the next factor's
-    top, on the preimage of the next step's words under that top.
+    tops and their normal derivatives come first, whole.  Inverting on
+    words reads the product's subleading part on the preimage, under the
+    top, of invert_symbol's inner words, themselves the preimage of words
+    under the inverse top, whose words are the top's.  That set is
+    carried back through the left fold: a partial product's subleading
+    part is read only against the next factor's top, on the preimage of
+    the next step's words under that top.  A one-factor product keeps its
+    factor's whole part.
     """
     if op not in _FACTORS:
         raise ValueError(f"unknown operator selector {op!r}")
@@ -172,30 +170,19 @@ def _composite(n: int, op: str, dual: bool, asked) -> Symbol:
     tops = [(factors[0].top, factors[0].top_dxn)]
     for right in factors[1:]:
         tops.append(_compose_tops(*tops[-1], right))
-    wanted = [asked(tops[-1][0])]
+    last = tops[-1][0]
+    wanted = [_preimage(_preimage(words, last), last)]
     for right in reversed(factors[2:]):
         wanted.append(_preimage(wanted[-1], right.top))
     low = factors[0].low
-    for (top, _), right, words in zip(tops, factors[1:], reversed(wanted)):
-        low = _compose_low(top, low, right, words)
-    if wanted[0] is not None:
-        # a one-factor product holds its factor's whole part until here
-        kept = {w: c for w, c in low.words.items() if w in wanted[0]}
-        low = MatrixSymbol(n, kept)
+    for (top, _), right, asked in zip(tops, factors[1:], reversed(wanted)):
+        low = _compose_low(top, low, right, asked)
     return Symbol(sum(f.order for f in factors), *tops[-1], low)
 
 
-def composite_symbols(
-    n: int, op: str, dual: bool = True, words: frozenset | None = None
-) -> Symbol:
-    """Leading two orders of the graded symbol of op's factor product.
-
-    Given a set of Clifford words, the subleading order is computed on
-    those words only, and so is every partial product's, on the words
-    the next composition step reads of it; the top and its normal
-    derivative are whole either way.
-    """
-    return _composite(n, op, dual, lambda top: words)
+def composite_symbols(n: int, op: str, dual: bool = True) -> Symbol:
+    """Leading two orders of the graded symbol of op's factor product."""
+    return _composite(n, op, dual, None)
 
 
 def invert_symbol(p: Symbol, words: frozenset | None = None) -> Symbol:
@@ -240,12 +227,7 @@ def inverse_symbols(
 
     Given a frozenset of Clifford words, the order below the top is
     computed on those words only, as in invert_symbol, and the composed
-    symbol's order below its top only on the words that reads: the
-    preimage of invert_symbol's inner words under the top, whose words
-    are the inverse top's.
+    symbol's order below its top only on the words that reads, as in
+    _composite.
     """
-
-    def asked(top: MatrixSymbol) -> frozenset | None:
-        return _preimage(_preimage(words, top), top)
-
-    return invert_symbol(_composite(n, variant, dual, asked), words)
+    return invert_symbol(_composite(n, variant, dual, words), words)

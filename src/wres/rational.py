@@ -47,6 +47,7 @@ from .exact import (
     GaussianRational,
     Poly,
     _add_product_into,
+    _vanishes_at,
     gen_omega,
     gen_pi,
     sphere_normal_form,
@@ -72,37 +73,6 @@ def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> tuple[list, P
     for p in reversed(num):
         partial.append(p + partial[-1] * root)
     return partial[-2:0:-1], partial[-1]
-
-
-def _vanishes_at(num: Sequence[Poly], root: GaussianRational) -> bool:
-    """Whether num(root) is zero, for root i or -i.
-
-    The value is the sum of c_k root**k, and each power of root turns a
-    coefficient's parts by a quarter turn, (x + y i) i = -y + x i, so it is
-    summed per monomial in ints, with no product and no Poly built.
-    """
-    step = root.y  # root is step * i
-    sums: dict = {}
-    for k, p in enumerate(num):
-        turn = k * step % 4
-        for m, c in p.terms.items():
-            x, y, d = c.x, c.y, c.d
-            if turn == 1:
-                x, y = -y, x
-            elif turn == 2:
-                x, y = -x, -y
-            elif turn == 3:
-                x, y = y, -x
-            acc = sums.get(m)
-            if acc is None:
-                sums[m] = [x, y, d]
-            elif acc[2] == d:
-                acc[0] += x
-                acc[1] += y
-            else:
-                e = acc[2]
-                sums[m] = [acc[0] * d + x * e, acc[1] * d + y * e, e * d]
-    return not any(x or y for x, y, _ in sums.values())
 
 
 def _convolve_into(out: list, f: Sequence[Poly], g: Sequence[Poly]) -> None:

@@ -8,6 +8,7 @@ from wres.clifford import normal_clifford, tangential_clifford
 from wres.exact import GaussianRational, Poly, gen_h
 from wres.jets import (
     Symbol,
+    _composite,
     composite_symbols,
     compose_symbols,
     inverse_symbols,
@@ -217,33 +218,22 @@ def _asked_by_inversion(top_words, words):
 @pytest.mark.parametrize("dual", [True, False])
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_composite_on_a_word_set_is_the_full_composite_there(n, dual):
-    """Restricting D3's composite to a set of words changes only its
-    order below the top, and only by dropping the words outside it."""
+    """Composing D3 for an inversion on a set of words changes only its
+    order below the top, and only by dropping the words that inversion
+    does not read."""
     full = composite_symbols(n, "D3", dual)
     vectors = frozenset((1 << j, 0) for j in range(n))
-    held = sorted(full.low.words)
-    # every third word the full part holds, and two it cannot hold
-    # (the order below the top is odd in form degree)
+    # every third word the full inverse's part holds, and two it cannot
+    # hold (that part is odd in form degree)
+    held = sorted(invert_symbol(full).low.words)
     lacking = [(0, 0), (3, 0)]
     assert not set(lacking) & set(held)
     mixed = frozenset(held[::3] + lacking)
-    for words in (_asked_by_inversion(full.top.words, vectors), mixed, frozenset()):
-        got = composite_symbols(n, "D3", dual, words)
+    for words in (vectors, mixed, frozenset()):
+        got = _composite(n, "D3", dual, words)
         assert got.order == full.order
         assert got.top == full.top
         assert got.top_dxn == full.top_dxn
-        want = {w: c for w, c in full.low.words.items() if w in words}
+        asked = _asked_by_inversion(full.top.words, words)
+        want = {w: c for w, c in full.low.words.items() if w in asked}
         assert got.low == MatrixSymbol(n, want)
-
-
-def test_composition_on_a_word_set_is_the_full_composition_there():
-    n = 6
-    left = compose_symbols(operator_symbols(n, "DvStar"), operator_symbols(n, "Dv"))
-    right = operator_symbols(n, "DvStar")
-    full = compose_symbols(left, right)
-    # every second word the full part holds, and one it cannot hold
-    words = frozenset(sorted(full.low.words)[::2] + [(0, 0)])
-    got = compose_symbols(left, right, words)
-    assert (got.order, got.top, got.top_dxn) == (full.order, full.top, full.top_dxn)
-    want = {w: c for w, c in full.low.words.items() if w in words}
-    assert got.low == MatrixSymbol(n, want)

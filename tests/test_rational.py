@@ -21,6 +21,7 @@ from wres.exact import (
     GaussianRational,
     Poly,
     _add_product_into,
+    _vanishes_at,
     gen_h,
     gen_omega,
     gen_pi,
@@ -34,7 +35,6 @@ from wres.rational import (
     _divide_linear,
     _mul_coeffs,
     _taylor_shift,
-    _vanishes_at,
     integrate_real_line,
     pi_minus,
     pi_plus,

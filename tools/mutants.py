@@ -112,7 +112,7 @@ MUTANTS = (
     ),
     Mutant(
         "canon-rotation-sign",
-        "src/wres/rational.py",
+        "src/wres/exact.py",
         "turn = k * step % 4",
         "turn = k % 4",
         (
