@@ -245,7 +245,8 @@ def _validate(spec: JobSpec) -> None:
             )
     if "tuple" in command.flags and spec.case_tuple is None:
         raise UsageError("tuple", f"the {spec.command} command requires a case tuple")
-    if not (math.isfinite(spec.tolerance) and spec.tolerance > 0):
+    # an int too large for a float would read as inf, as 1e400 does
+    if not 0 < spec.tolerance <= sys.float_info.max:
         raise UsageError(
             "tolerance", f"must be finite and positive, got {spec.tolerance!r}"
         )
@@ -335,7 +336,9 @@ def parse_report(text: str) -> Report:
     """Inverse of the json emission; round-trips every report exactly.
 
     Raises ValueError on a report of a shape the emission never writes,
-    where a lookup in it would raise KeyError or TypeError.
+    in place of the KeyError or TypeError of a failed lookup, the
+    ZeroDivisionError of a zero denominator or the AttributeError of a
+    monomial that is not text.
     """
     payload = json.loads(text)
     try:
@@ -355,7 +358,7 @@ def parse_report(text: str) -> Report:
             for entry in payload["discrepancies"]
         ]
         meta, total = payload["meta"], _poly_from_json(payload["total"])
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ZeroDivisionError, AttributeError) as err:
         raise ValueError(f"not a report as _emit_json writes it: {err!r}") from err
     # The text and LaTeX forms print dim as an int and join the operators.
     if not (

@@ -48,9 +48,12 @@ allocated once at the table's bound of `_NODE_LIMIT` rows.  A case
 evaluates its integrand on every tabled node at once, in one stacked
 product that numpy computes with the same per-node calls and so to the
 same bits, and computes alone, then tables, only a node the table
-lacks.  This is the same contour-and-quadrature computation in another
-order of summation, built from the oracle's own dense matrices: no
-exact-engine code enters it, so agreement still means what it meant.
+lacks.  Each case counts its own stacked and alone node values and adds
+both to its table once, after its quadrature, so no lock is taken per
+node value served.  This is the same contour-and-quadrature computation
+in another order of summation, built from the oracle's own dense
+matrices: no exact-engine code enters it, so agreement still means what
+it meant.
 """
 
 from __future__ import annotations
@@ -334,8 +337,9 @@ class _NodeTable:
     at that bound once, unwritten.  The table is shared by threads: rows
     are only appended, under a lock, and `snapshot` hands out read-only
     views of the rows written so far together with their nodes.
-    `stacked` and `alone` count the node values served from a stacked
-    product and those computed alone.
+    `stacked` and `alone` total the node values that the cases run under
+    (k, j) served from a stacked product and computed alone; each case
+    counts its own and adds them once, through `tally`.
     """
 
     def __init__(self, k: int, j: int):
@@ -345,24 +349,17 @@ class _NodeTable:
         self._nodes = {}  # node -> None, in insertion order
         self._w = np.empty((_NODE_LIMIT, _POLE_ORDER), dtype=complex)
         self._u = np.empty((_NODE_LIMIT, 2 * _POLE_ORDER), dtype=complex)
-        # The nodes served from a stack since the last snapshot, which
-        # counts them.  list.append is atomic, so an integrand records a
-        # node without taking the lock on every call.
-        self.served = []
-        self._stacked = 0
-        self.alone = 0
+        self.stacked = self.alone = 0
 
-    @property
-    def stacked(self) -> int:
+    def tally(self, stacked: int, alone: int) -> None:
+        """Add one case's counts of stacked and alone node values."""
         with self._lock:
-            return self._stacked + len(self.served)
+            self.stacked += stacked
+            self.alone += alone
 
     def snapshot(self) -> tuple:
         """(nodes, W, U) for every node tabled so far."""
         with self._lock:
-            served = len(self.served)
-            del self.served[:served]
-            self._stacked += served
             n = len(self._nodes)
             nodes, w, u = tuple(self._nodes), self._w[:n], self._u[:n]
         w.flags.writeable = u.flags.writeable = False
@@ -385,7 +382,6 @@ class _NodeTable:
         w = (1.0 / (x - 1j)) ** self._upper
         u = (1.0 / (x - _POLES)) ** self._pole
         with self._lock:
-            self.alone += 1
             n = len(self._nodes)
             if x not in self._nodes and n < _NODE_LIMIT:
                 self._w[n], self._u[n] = w, u
@@ -413,6 +409,9 @@ def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
     come from one stacked product, `((W[:, None, :] @ G) @ U[:, :, None])`,
     bit for bit those of `w @ G @ u` node by node (`_NodeTable.values`).
     A node the table lacks is computed alone and added to the table.
+    The integrand keeps the nodes it served each way in its own lists,
+    `integrand.stacked` and `integrand.alone`, for `_line_integrals` to
+    add to the table once the case is integrated.
     """
     gram = np.einsum("kab,mba->km", left[0], np.concatenate(right))
     gram *= _case_coefficient(case) * np.outer(
@@ -421,15 +420,18 @@ def _trace_integrand(left: tuple, right: tuple, case: CaseTuple):
     )
     table = _NODE_TABLES[case.k, case.j]
     values = table.values(gram)
-    served = table.served.append
+    stacked, alone = [], []
+    served = stacked.append
 
     def integrand(x: float) -> complex:
         value = values.get(x)
         if value is None:
+            alone.append(x)
             return table.compute(x, gram)
         served(x)
         return value
 
+    integrand.stacked, integrand.alone = stacked, alone
     return integrand
 
 
@@ -498,6 +500,8 @@ def _line_integrals(
             case,
         )
         values.append(line_quad(integrand))
+        table = _NODE_TABLES[case.k, case.j]
+        table.tally(len(integrand.stacked), len(integrand.alone))
     return values
 
 

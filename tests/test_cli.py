@@ -164,8 +164,9 @@ def test_usage_errors_exit_two_and_name_the_field(capsys):
         assert info.value.field_name == field, settings
 
 
-# JobSpec values of a type that no reader of the command line returns, so
-# only a library caller can pass them, with the field each must name.
+# JobSpec values that no reader of the command line returns, of another
+# type or an int too large for a float, so only a library caller can pass
+# them, with the field each must name.
 _BAD_LIBRARY_TYPES = [
     (dict(command="interior", dim="4"), "dim"),
     (dict(command="interior", dual="false", emit="json"), "dual"),
@@ -181,6 +182,10 @@ _BAD_LIBRARY_TYPES = [
         "seed",
     ),
     (dict(command=["interior"]), "command"),
+    (
+        dict(command="crosscheck", left="Dv", right="Dv", tolerance=10**400),
+        "tolerance",
+    ),
 ]
 
 
@@ -311,6 +316,9 @@ CORRUPTIONS = {
     "unreduced-fraction": lambda terms: terms[0].update(re="-4096/6"),
     "decimal-spelling": lambda terms: terms[1].update(re="-2048.0"),
     "unsorted-terms": lambda terms: terms.reverse(),
+    "zero-denominator": lambda terms: terms[0].update(re="1/0"),
+    "zero-over-zero": lambda terms: terms[0].update(im="0/0"),
+    "monomial-not-text": lambda terms: terms[0].update(monomial=5),
 }
 
 

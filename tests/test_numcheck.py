@@ -677,8 +677,9 @@ def test_memoized_integrand_matches_frozen_copy_on_every_node(
     {0, 1}^2: the table's cases, and one synthetic case for each pair the
     table lacks.  Each case runs once on empty node tables, where every
     node is computed alone, and again on the tables that run filled,
-    where the stacked product serves at least 90 % of the nodes.  Values
-    are numpy scalars on both paths, as the frozen one's are."""
+    where the stacked product serves at least 90 % of the nodes, as the
+    integrand's own counts say.  Values are numpy scalars on both paths,
+    as the frozen one's are."""
     _, reports = boundary_phi(n, left, right)
     fiber = NumericFiber(NumericScenario.draw(n, seed))
     terms = PoleExpansion(fiber.inverse_members((left, right))).terms
@@ -696,11 +697,10 @@ def test_memoized_integrand_matches_frozen_copy_on_every_node(
         frozen = _frozen_trace_integrand(*entries, case)
         table = _empty_node_tables(monkeypatch)[case.k, case.j]
         for warm in (False, True):
-            stacked, alone = table.stacked, table.alone
             memoized = _trace_integrand(*entries, case)
             nodes = []
             value = line_quad(lambda x: nodes.append(x) or memoized(x))
-            stacked, alone = table.stacked - stacked, table.alone - alone
+            stacked, alone = len(memoized.stacked), len(memoized.alone)
             assert stacked + alone == len(nodes)
             if warm:
                 assert stacked >= 0.9 * len(nodes)
@@ -766,15 +766,22 @@ def test_power_memos_stay_bounded(monkeypatch):
 def test_power_memos_hit_on_the_benchmark_scenarios(monkeypatch):
     """On the 12 scenarios of the crosscheck4 benchmark session the
     stacked products serve nearly every node: QUADPACK asks for the same
-    nodes in every case and scenario."""
+    nodes in every case and scenario.  The tables hold 609, 525 and 525
+    nodes, every one computed alone once, and their counts add up to the
+    25179 stacked of 26838 node values that README cites."""
     live = _live_dim4_reports()
     tables = _empty_node_tables(monkeypatch)
     for seed in range(1, 13):
         crosscheck(live, NumericScenario.draw(4, seed), "Dv", "DvStar")
-    counts = _table_counts(tables).values()
-    stacked = sum(s for s, _ in counts)
-    alone = sum(a for _, a in counts)
-    assert stacked >= 0.9 * (stacked + alone)
+    assert _table_counts(tables) == {
+        (0, 0): (13629, 609),
+        (0, 1): (5775, 525),
+        (1, 0): (5775, 525),
+        (1, 1): (0, 0),
+    }
+    assert [len(table.snapshot()[0]) for table in tables.values()] == [
+        609, 525, 525, 0
+    ]
 
 
 _TAIL = st.floats(min_value=1e-6, max_value=1.0 / _T_BOUND)
@@ -853,26 +860,22 @@ def test_node_tables_filled_by_racing_threads_match_one_thread(monkeypatch):
         assert sum(_table_counts(raced)[kj]) == sum(_table_counts(single)[kj])
 
 
-def test_snapshot_fold_keeps_a_node_served_while_it_counts():
-    """The snapshot folds the served list into its count without losing
-    a node an integrand serves between the fold's count and its drop:
-    the raced entry stays in the list and is counted once."""
-
-    class RacedList(list):
-        raced = False
-
-        def __len__(self):
-            size = super().__len__()
-            if not self.raced:
-                self.raced = True
-                self.append(2.0)
-            return size
-
+def test_a_node_is_tabled_only_under_its_tables_lock():
+    """`compute` writes a fresh node into the table while it holds the
+    table's lock, so racing threads cannot table a node twice or lose
+    one; a node already tabled is not written again."""
     table = numcheck._NodeTable(0, 0)
-    table.served = RacedList([0.0, 1.0])
-    table.snapshot()
-    assert table.stacked == 3
-    assert list(table.served) == [2.0]
+
+    class LockedNodes(dict):
+        def __setitem__(self, x, value):
+            assert table._lock.locked(), x
+            super().__setitem__(x, value)
+
+    table._nodes = LockedNodes()
+    gram = np.ones((_POLE_ORDER, 2 * _POLE_ORDER), dtype=complex)
+    for x in (0.5, -3.0, 0.5, 41.0):
+        table.compute(x, gram)
+    assert table.snapshot()[0] == (0.5, -3.0, 41.0)
 
 
 def test_threaded_cli_run_on_empty_tables_matches_the_capture():

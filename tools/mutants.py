@@ -38,13 +38,28 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "node-tally-fold-clears",
+        "node-tally-dropped",
         "src/wres/numcheck.py",
-        "del self.served[:served]",
-        "self.served.clear()",
+        "        table.tally(len(integrand.stacked), len(integrand.alone))\n",
+        "",
+        (
+            "tests/test_numcheck.py::test_power_memos_hit_on_the_benchmark_scenarios",
+            "tests/test_numcheck.py::"
+            "test_power_memos_leak_no_state_between_scenarios",
+        ),
+    ),
+    Mutant(
+        "node-tabled-outside-lock",
+        "src/wres/numcheck.py",
+        "        with self._lock:\n"
+        "            n = len(self._nodes)\n"
+        "            if x not in self._nodes",
+        "        if True:\n"
+        "            n = len(self._nodes)\n"
+        "            if x not in self._nodes",
         (
             "tests/test_numcheck.py::"
-            "test_snapshot_fold_keeps_a_node_served_while_it_counts",
+            "test_a_node_is_tabled_only_under_its_tables_lock",
         ),
     ),
     Mutant(
