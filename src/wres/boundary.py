@@ -130,31 +130,6 @@ def evaluate_case(
     return CaseReport(case, coeff, trace_integral, contribution)
 
 
-def _unpaired_low_reads(
-    cases: list[CaseTuple], left_order: int, right_order: int
-) -> list[CaseTuple]:
-    """The live cases that read one factor's order below its top against
-    anything but the partner's top.
-
-    A fiber trace reads only the words both factors hold, so a case that
-    pairs each subleading read with the partner's top needs the
-    subleading part only on the top's words.  When the two operator
-    orders sum to n - 2 no case reads anything else, and this list is
-    empty.
-    """
-    out = []
-    for case in cases:
-        if case.alpha:
-            continue
-        left_low = case.r == left_order - 1
-        right_low = case.l == right_order - 1
-        if (left_low and (case.l, case.k) != (right_order, 0)) or (
-            right_low and (case.r, case.j) != (left_order, 0)
-        ):
-            out.append(case)
-    return out
-
-
 def boundary_phi(
     n: int, left_op: str, right_op: str, dual: bool = True
 ) -> tuple[Poly, list[CaseReport]]:
@@ -166,10 +141,14 @@ def boundary_phi(
     sides.
 
     Every inverse top is c(xi) times a scalar rational, so it lies on the
-    n vector words c_j, and every live case reads a subleading part only
-    against the partner's top.  Each inverse's subleading part is
-    therefore computed on the vector words alone; both facts are checked,
-    and a ValueError is raised if either fails.
+    n vector words c_j.  The inverse orders sum to 2 - n in every
+    supported pair, which leaves each case one order below the two tops
+    for one derivative or one subleading read; so a subleading part is
+    read only against the partner's undifferentiated top, and a fiber
+    trace reads it only on the vector words, where it is computed.  A
+    ValueError is raised on a top off the vector words, and on orders
+    summing to more than 2 - n, which leave room to read a subleading
+    part against more; below 2 - n no case reads one.
     """
     if (n, left_op, right_op) not in SUPPORTED_PAIRS:
         raise ValueError(
@@ -184,12 +163,13 @@ def boundary_phi(
     )
     if any(not sym.top.words.keys() <= vectors for sym in (left, right)):
         raise ValueError("an inverse top leaves the vector words")
-    cases = enumerate_cases(n, -left.order, -right.order)
-    if unpaired := _unpaired_low_reads(cases, left.order, right.order):
+    if left.order + right.order > 2 - n:
         raise ValueError(
-            "a case reads a subleading part against more than the partner's "
-            f"top: {[case.as_tuple() for case in unpaired]}"
+            f"inverse orders {left.order} and {right.order} sum to more than "
+            f"2 - n = {2 - n}: a case would read a subleading part against "
+            "more than the partner's top"
         )
+    cases = enumerate_cases(n, -left.order, -right.order)
     reports = [evaluate_case(case, left, right, n) for case in cases]
     total = Poly.zero()
     for report in reports:

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -290,9 +291,16 @@ def _poly_to_json(poly: Poly) -> dict:
     return {"terms": terms}
 
 
+# A coefficient part as str(Fraction) writes it.  The text is matched before
+# it is parsed: Fraction would expand a decimal exponent such as 1e999999999.
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _poly_from_json(data: dict) -> Poly:
     terms = {}
     for term in data["terms"]:
+        if not all(_COEFFICIENT.fullmatch(term[part]) for part in ("re", "im")):
+            raise ValueError(f"not a coefficient as _poly_to_json writes it: {term!r}")
         coeff = GaussianRational(term["re"], term["im"])
         terms[parse_monomial(term["monomial"])] = coeff
     poly = Poly(terms)

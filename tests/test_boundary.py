@@ -220,13 +220,37 @@ def test_every_live_low_read_meets_the_partners_top(n, p1, p2):
             low_reads += 1
             assert (case.r, case.j) == (-p1, 0), case
     assert low_reads == 2
-    assert boundary._unpaired_low_reads(cases, -p1, -p2) == []
 
 
-def test_a_pair_with_more_derivatives_reads_low_against_low():
-    # orders summing to less than n - 2 leave room for cases that read two
-    # subleading parts, or one against a differentiated top
-    unpaired = boundary._unpaired_low_reads(enumerate_cases(6, 1, 1), -1, -1)
+def _unpaired_low_reads(cases, left_order, right_order):
+    """The live cases that read one factor's order below its top against
+    anything but the partner's top: a frozen copy of the scan that
+    boundary_phi ran on every table before its order check."""
+    out = []
+    for case in cases:
+        if case.alpha:
+            continue
+        left_low = case.r == left_order - 1
+        right_low = case.l == right_order - 1
+        if (left_low and (case.l, case.k) != (right_order, 0)) or (
+            right_low and (case.r, case.j) != (left_order, 0)
+        ):
+            out.append(case)
+    return out
+
+
+def test_order_check_refuses_exactly_the_pairs_the_scan_refused():
+    """boundary_phi's order check, p1 + p2 < n - 2, is the old scan: on
+    every even n to 16 and every p1, p2 to n + 2 the scan finds a case
+    reading a subleading part against more than the partner's top
+    exactly there.  Orders summing to less than n - 2 leave room for
+    cases that read two subleading parts, or one against a
+    differentiated top."""
+    for n in range(2, 17, 2):
+        for p1, p2 in product(range(1, n + 3), repeat=2):
+            unpaired = _unpaired_low_reads(enumerate_cases(n, p1, p2), -p1, -p2)
+            assert bool(unpaired) == (p1 + p2 < n - 2), (n, p1, p2)
+    unpaired = _unpaired_low_reads(enumerate_cases(6, 1, 1), -1, -1)
     assert CaseTuple(-2, -2, 0, 1, 0) in unpaired
     assert CaseTuple(-2, -1, 2, 0, 0) in unpaired
 
@@ -242,13 +266,11 @@ def test_boundary_phi_refuses_a_top_off_the_vector_words(monkeypatch):
 
 
 def test_boundary_phi_refuses_a_case_that_reads_low_against_low(monkeypatch):
-    # the n + 2 enumeration holds cases with one derivative more
-    real = boundary.enumerate_cases
-    monkeypatch.setattr(
-        boundary, "enumerate_cases", lambda n, p1, p2: real(n + 2, p1, p2)
-    )
-    with pytest.raises(ValueError, match="partner's top"):
-        boundary_phi(4, "Dv", "Dv")
+    # two first-order inverses at n=6 leave room for one derivative more
+    admitted = SUPPORTED_PAIRS | {(6, "Dv", "Dv")}
+    monkeypatch.setattr(boundary, "SUPPORTED_PAIRS", admitted)
+    with pytest.raises(ValueError, match="orders -1 and -1 sum to more than 2 - n"):
+        boundary_phi(6, "Dv", "Dv")
 
 
 def test_supported_pairs_are_frozen():

@@ -315,6 +315,8 @@ CORRUPTIONS = {
     "repeated-monomial": lambda terms: terms.insert(1, dict(terms[0])),
     "unreduced-fraction": lambda terms: terms[0].update(re="-4096/6"),
     "decimal-spelling": lambda terms: terms[1].update(re="-2048.0"),
+    "decimal-exponent": lambda terms: terms[0].update(re="-2048e0"),
+    "decimal-point": lambda terms: terms[0].update(im=".0"),
     "unsorted-terms": lambda terms: terms.reverse(),
     "zero-denominator": lambda terms: terms[0].update(re="1/0"),
     "zero-over-zero": lambda terms: terms[0].update(im="0/0"),
@@ -374,6 +376,23 @@ def test_parse_report_rejects_polynomial_json_it_never_writes(corrupt):
     assert payload["total"]["terms"][0]["re"] == "-2048/3"
     corrupt(payload["total"]["terms"])
     with pytest.raises(ValueError):
+        parse_report(json.dumps(payload))
+
+
+def test_parse_report_rejects_a_decimal_exponent_before_parsing_it(monkeypatch):
+    """A coefficient such as 1e999999999 is refused by its spelling:
+    parsing it first would expand the power of ten in full."""
+    real = cli.GaussianRational
+
+    def guarded(*parts):
+        assert "1e999999999" not in parts, "parsed a decimal exponent"
+        return real(*parts)
+
+    monkeypatch.setattr(cli, "GaussianRational", guarded)
+    with open(os.path.join(DATA, "interior-6-Dv2.json"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["total"]["terms"][0]["re"] = "1e999999999"
+    with pytest.raises(ValueError, match="coefficient"):
         parse_report(json.dumps(payload))
 
 

@@ -157,6 +157,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "boundary-order-check-dropped",
+        "src/wres/boundary.py",
+        "    if left.order + right.order > 2 - n:\n",
+        "    if False:\n",
+        (
+            "tests/test_boundary.py::"
+            "test_boundary_phi_refuses_a_case_that_reads_low_against_low",
+        ),
+    ),
+    Mutant(
+        "endomorphism-drops-curvature",
+        "src/wres/interior.py",
+        "return curvature_term(n) + _sum_products(",
+        "return _sum_products(",
+        (
+            "tests/test_interior.py::"
+            "test_endomorphism_matches_the_curvature_first_sum",
+        ),
+    ),
+    Mutant(
         "interior-drops-drift-gradient",
         "src/wres/interior.py",
         "    yield from _gradient_products(n, variant, dual)\n",
@@ -188,6 +208,16 @@ MUTANTS = (
         (
             "tests/test_cli.py::"
             "test_parse_report_rejects_report_shapes_it_never_writes",
+        ),
+    ),
+    Mutant(
+        "parse-report-coefficient-unchecked",
+        "src/wres/cli.py",
+        'if not all(_COEFFICIENT.fullmatch(term[part]) for part in ("re", "im")):',
+        "if False:",
+        (
+            "tests/test_cli.py::"
+            "test_parse_report_rejects_a_decimal_exponent_before_parsing_it",
         ),
     ),
     Mutant(
