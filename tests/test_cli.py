@@ -315,7 +315,6 @@ CORRUPTIONS = {
     "repeated-monomial": lambda terms: terms.insert(1, dict(terms[0])),
     "unreduced-fraction": lambda terms: terms[0].update(re="-4096/6"),
     "decimal-spelling": lambda terms: terms[1].update(re="-2048.0"),
-    "decimal-exponent": lambda terms: terms[0].update(re="-2048e0"),
     "decimal-point": lambda terms: terms[0].update(im=".0"),
     "unsorted-terms": lambda terms: terms.reverse(),
     "zero-denominator": lambda terms: terms[0].update(re="1/0"),

@@ -94,39 +94,23 @@ def test_interior_trace_matches_the_trace_of_the_endomorphism(n, variant, dual):
     assert interior_trace(n, variant, dual) == expected
 
 
-def _endomorphism_curvature_first(n, variant, dual):
-    """The endomorphism summed as build_endomorphism summed it while the
-    curvature term led the list of products, as the identity times it:
-    a frozen copy of the earlier implementation."""
-    one = CliffordOp.identity(n)
-    out = CliffordOp.zero(n)
-    products = [(1, one, curvature_term(n)), *_products(n, variant, dual)]
-    for coeff, left, right in products:
-        out = out + (left @ right).scale(coeff)
-    return out
-
-
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("variant", SQUARE_VARIANTS)
 @pytest.mark.parametrize("dual", [True, False])
-def test_endomorphism_matches_the_curvature_first_sum(n, variant, dual):
-    expected = _endomorphism_curvature_first(n, variant, dual)
+def test_endomorphism_is_the_sum_of_its_terms(n, variant, dual):
+    """The curvature term, the scalar term -s/4, the drift square, the
+    drift gradient and -(outer drift)(inner drift), each built on its own.
+    The traces alone cannot see the curvature term, which is traceless."""
+    *_, (coeff, outer, inner) = _products(n, variant, dual)
+    scalar = CliffordOp.identity(n).scale(Poly.gen(gen_s(), coeff=Fraction(-1, 4)))
+    expected = (
+        curvature_term(n)
+        + scalar
+        + drift_square_term(n, variant, dual)
+        + drift_gradient_term(n, variant, dual)
+        + (outer @ inner).scale(coeff)
+    )
     assert build_endomorphism(n, variant, dual) == expected
-
-
-@pytest.mark.parametrize("n", [4, 6])
-@pytest.mark.parametrize("variant", SQUARE_VARIANTS)
-@pytest.mark.parametrize("dual", [True, False])
-def test_interior_trace_never_builds_the_curvature_term(monkeypatch, n, variant, dual):
-    """The curvature term is traceless (test_curvature_trace_vanishes), so
-    the trace leaves it out; the endomorphism still holds it."""
-    expected = interior_trace(n, variant, dual)
-
-    def refused(*args):
-        raise AssertionError("interior_trace built the curvature term")
-
-    monkeypatch.setattr(wres.interior, "curvature_term", refused)
-    assert interior_trace(n, variant, dual) == expected
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -169,11 +169,11 @@ MUTANTS = (
     Mutant(
         "endomorphism-drops-curvature",
         "src/wres/interior.py",
-        "return curvature_term(n) + _sum_products(",
-        "return _sum_products(",
+        "    yield 1, one, curvature_term(n)\n",
+        "",
         (
             "tests/test_interior.py::"
-            "test_endomorphism_matches_the_curvature_first_sum",
+            "test_endomorphism_is_the_sum_of_its_terms",
         ),
     ),
     Mutant(
