@@ -50,6 +50,7 @@ from .clifford import (
     tangential_clifford,
 )
 from .exact import (
+    XIN,
     GaussianRational,
     Poly,
     format_generator,
@@ -590,8 +591,8 @@ def _projection_splits(seed: int) -> bool:
         a = rng.randint(1, 3)
         b = rng.randint(1, 3)
         deg = rng.randint(0, a + b - 1)
-        coeffs = [Poly.const(Fraction(rng.randint(-9, 9))) for _ in range(deg + 1)]
-        f = RationalXi(coeffs, a, b)
+        num = sum((Poly.gen(XIN, k, rng.randint(-9, 9)) for k in range(deg + 1)), Poly())
+        f = RationalXi(num, a, b)
         plus = pi_plus(f)
         if pi_plus(plus) != plus or (f - plus).a != 0:
             return False

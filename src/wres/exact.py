@@ -19,17 +19,20 @@ tuples tagged by a short string:
     ("S",)             scalar curvature at the base point
     ("PI",)            the circle constant, kept symbolic
     ("OMEGA",)         boundary sphere volume, kept symbolic
+    ("XIN",)           the normal covariable, internal to the numerators
+                       of rational.RationalXi
 
 Generators compare lexicographically as tuples (the tag is always a
 string, so the ordering is total), which gives a canonical term order
-for free.
+for free.  "XIN" sorts after every other tag, so a power of XIN is
+always the last factor of a monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 Generator = Tuple
 Monomial = Tuple[Tuple[Generator, int], ...]
@@ -257,6 +260,16 @@ def gen_omega() -> Generator:
     return ("OMEGA",)
 
 
+XIN: Generator = ("XIN",)
+
+
+def _split_xin(m: Monomial) -> Tuple[Monomial, int]:
+    """(rest, k) for the monomial rest * XIN**k; XIN is its last factor."""
+    if m and m[-1][0] == XIN:
+        return m[:-1], m[-1][1]
+    return m, 0
+
+
 def gen_riemann(i: int, j: int, k: int, l: int) -> Tuple[int, Generator]:
     """Canonicalize a curvature index tuple.
 
@@ -366,34 +379,35 @@ def _add_product_into(out: dict, p: "Poly", q: "Poly") -> None:
                     out[m] = s
 
 
-def _vanishes_at(num: Iterable["Poly"], root: GaussianRational) -> bool:
-    """Whether the sum of num[k] * root**k is zero, for root i or -i.
+def _vanishes_at(num: "Poly", root: GaussianRational) -> bool:
+    """Whether num, a polynomial in XIN, is zero at XIN = root, for root i or -i.
 
     Each power of root turns a coefficient's parts by a quarter turn,
-    (x + y i) i = -y + x i, so the sum is taken per monomial on the
-    scalars' integer triples, with no product taken and no Poly built.
+    (x + y i) i = -y + x i, so the sum is taken per monomial of the other
+    generators on the scalars' integer triples, with no product taken
+    and no Poly built.
     """
     step = root.y  # root is step * i
     sums: dict = {}
-    for k, p in enumerate(num):
+    for m, c in num.terms.items():
+        m, k = _split_xin(m)
         turn = k * step % 4
-        for m, c in p.terms.items():
-            x, y, d = c.x, c.y, c.d
-            if turn == 1:
-                x, y = -y, x
-            elif turn == 2:
-                x, y = -x, -y
-            elif turn == 3:
-                x, y = y, -x
-            acc = sums.get(m)
-            if acc is None:
-                sums[m] = [x, y, d]
-            elif acc[2] == d:
-                acc[0] += x
-                acc[1] += y
-            else:
-                e = acc[2]
-                sums[m] = [acc[0] * d + x * e, acc[1] * d + y * e, e * d]
+        x, y, d = c.x, c.y, c.d
+        if turn == 1:
+            x, y = -y, x
+        elif turn == 2:
+            x, y = -x, -y
+        elif turn == 3:
+            x, y = y, -x
+        acc = sums.get(m)
+        if acc is None:
+            sums[m] = [x, y, d]
+        elif acc[2] == d:
+            acc[0] += x
+            acc[1] += y
+        else:
+            e = acc[2]
+            sums[m] = [acc[0] * d + x * e, acc[1] * d + y * e, e * d]
     return not any(x or y for x, y, _ in sums.values())
 
 

@@ -5,25 +5,26 @@ restricted to the unit tangential cosphere is a rational function
 
     N(xin) / ((xin - i)**a * (xin + i)**b)
 
-whose numerator coefficients are polynomials in the remaining
-generators.  The denominator never acquires other roots because the
-full covector length squared is 1 + xin**2 on the cosphere.
+whose numerator is one polynomial in xin and the remaining generators,
+with xin the generator XIN.  The denominator never acquires other roots
+because the full covector length squared is 1 + xin**2 on the cosphere.
 
-Canonical form: trailing zero numerator coefficients are stripped, and
-common factors (xin -+ i) are divided out, so a and b are the true pole
-orders.  Whether (xin - i) or (xin + i) divides the numerator is tested by
+Canonical form: common factors (xin -+ i) are divided out, so a and b are
+the true pole orders; the numerator, a Poly, stores no zero coefficient.
+Whether (xin - i) or (xin + i) divides the numerator is tested by
 evaluating it at i or -i, where each power of the root turns a
 coefficient's parts by a quarter turn; a synthetic division runs only
-when that value is zero.  The projection pi_plus keeps the principal part
-at +i (the orientation fixed by the half-space calculus) and pi_minus,
-f - pi_plus(f), the one at -i.  With t = xin - i the principal part at +i
-is T(t) / t**a, where T is the Taylor polynomial below degree a of
-N / (t + 2i)**b: N is shifted to t, multiplied by the truncated series of
-(t + 2i)**-b and shifted back.  The real-line integral closes the contour
-upward, which is exact for any proper rational integrand with quadratic
-decay; the residue at +i is T's t**(a-1) coefficient, read from the
-Taylor coefficients of N at i and the series of (t + 2i)**-b without
-building the principal part.
+when that value is zero.  Division, the Taylor shift and the derivative
+read the numerator power by power through its columns: per monomial of
+the other generators, the scalars by power of xin.  The projection
+pi_plus keeps the principal part at +i (the orientation fixed by the
+half-space calculus) and pi_minus, f - pi_plus(f), the one at -i.  With
+t = xin - i the principal part at +i is T(t) / t**a, where T is the
+Taylor polynomial below degree a of N / (t + 2i)**b: N is shifted to t,
+multiplied by the truncated series of (t + 2i)**-b and shifted back.
+The real-line integral closes the contour upward, which is exact for any
+proper rational integrand with quadratic decay; the residue at +i is T's
+t**(a-1) coefficient.
 
 MatrixSymbol is the Clifford word map of clifford._WordMap with
 RationalXi coefficients.  Its coefficients are reduced on the cosphere
@@ -44,9 +45,12 @@ from .clifford import EMPTY_WORD, CliffordOp, _WordMap, word_product
 from .exact import (
     GR_I,
     GR_MINUS_I,
+    GR_ZERO,
+    XIN,
     GaussianRational,
     Poly,
     _add_product_into,
+    _split_xin,
     _vanishes_at,
     gen_omega,
     gen_pi,
@@ -55,62 +59,57 @@ from .exact import (
 
 _TWO_I = GaussianRational(0, 2)
 _HALF_I = GaussianRational(0, Fraction(1, 2))
+_XIN_MINUS_I = Poly.gen(XIN) - GR_I
+_XIN_PLUS_I = Poly.gen(XIN) + GR_I
 
 
-def _strip(num: list) -> list:
-    while num and num[-1].is_zero:
-        num.pop()
-    return num
+def _columns(num: Poly) -> dict:
+    """num power by power: {rest monomial: scalars by power of xin}."""
+    cols: dict = {}
+    for m, c in num.terms.items():
+        rest, k = _split_xin(m)
+        col = cols.setdefault(rest, [])
+        col.extend([GR_ZERO] * (k + 1 - len(col)))
+        col[k] = c
+    return cols
 
 
-def _divide_linear(num: Sequence[Poly], root: GaussianRational) -> tuple[list, Poly]:
-    """(quotient, remainder) of num by (xin - root), by synthetic division.
+def _numerator(cols: dict) -> Poly:
+    """The Poly whose columns are cols, leaving out zero scalars."""
+    return Poly._own(
+        {
+            m + ((XIN, k),) if k else m: c
+            for m, col in cols.items()
+            for k, c in enumerate(col)
+            if not c.is_zero
+        }
+    )
 
-    The partial sums of Horner's rule for num(root) are the quotient's
-    coefficients, and the last one is the remainder num(root).
+
+def _divide_linear(col: Sequence, root: GaussianRational) -> tuple:
+    """(quotient, remainder) of a column by (xin - root), by synthetic division.
+
+    The partial sums of Horner's rule for col(root) are the quotient's
+    coefficients, and the last one is the remainder col(root).
     """
-    partial = [Poly.zero()]
-    for p in reversed(num):
-        partial.append(p + partial[-1] * root)
+    partial = [GR_ZERO]
+    for c in reversed(col):
+        partial.append(c + partial[-1] * root)
     return partial[-2:0:-1], partial[-1]
 
 
-def _convolve_into(out: list, f: Sequence[Poly], g: Sequence[Poly]) -> None:
-    """Add the coefficients of f * g into out, a list of terms dicts it grows."""
-    out.extend({} for _ in range(len(f) + len(g) - 1 - len(out)))
-    for i, p in enumerate(f):
-        for j, q in enumerate(g):
-            _add_product_into(out[i + j], p, q)
+def _lift(num: Poly, da: int, db: int) -> Poly:
+    """num * (xin - i)**da * (xin + i)**db."""
+    for factor in (_XIN_MINUS_I,) * da + (_XIN_PLUS_I,) * db:
+        num = num * factor
+    return num
 
 
-def _mul_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
+def _taylor_shift(col: Sequence, c: GaussianRational, size: int) -> list:
+    """Coefficients below degree size of col(xin + c): the remainders of
+    dividing col by (xin - c) over and over."""
     out: list = []
-    if f and g:
-        _convolve_into(out, f, g)
-    return [Poly._own(terms) for terms in out]
-
-
-def _add_coeffs(f: Sequence[Poly], g: Sequence[Poly]) -> list:
-    if len(f) < len(g):
-        f, g = g, f
-    return [p + q for p, q in zip(f, g)] + list(f[len(g):])
-
-
-def _lift(num: Sequence[Poly], da: int, db: int) -> list:
-    """Coefficients of num * (xin - i)**da * (xin + i)**db."""
-    if not (da or db):
-        return list(num)
-    factor = [Poly.const(1)]
-    for root in (GR_I,) * da + (GR_MINUS_I,) * db:
-        factor = _mul_coeffs(factor, [Poly.const(-root), Poly.const(1)])
-    return _mul_coeffs(num, factor)
-
-
-def _taylor_shift(num: Sequence[Poly], c: GaussianRational, size: int) -> list:
-    """Coefficients below degree size of num(xin + c): the remainders of
-    dividing num by (xin - c) over and over."""
-    out: list = []
-    quot = num
+    quot = col
     while quot and len(out) < size:
         quot, rem = _divide_linear(quot, c)
         out.append(rem)
@@ -118,55 +117,55 @@ def _taylor_shift(num: Sequence[Poly], c: GaussianRational, size: int) -> list:
 
 
 class RationalXi:
-    """N(xin) / ((xin - i)**a (xin + i)**b) in canonical form."""
+    """N(xin) / ((xin - i)**a (xin + i)**b) in canonical form.
+
+    num is one Poly in which xin is the generator XIN.
+    """
 
     __slots__ = ("num", "a", "b")
 
-    def __init__(self, num: Sequence[Poly], a: int = 0, b: int = 0):
+    def __init__(self, num: Poly, a: int = 0, b: int = 0):
         if a < 0 or b < 0:
             raise ValueError("pole orders must be nonnegative")
-        coeffs = _strip([Poly.of(p) for p in num])
         # dividing a nonzero numerator never empties it
-        orders = [a, b] if coeffs else [0, 0]
+        orders = [a, b] if num.terms else [0, 0]
         for k, root in enumerate((GR_I, GR_MINUS_I)):
-            while orders[k] and _vanishes_at(coeffs, root):
-                coeffs = _divide_linear(coeffs, root)[0]
+            while orders[k] and _vanishes_at(num, root):
+                cols = _columns(num).items()
+                num = _numerator({m: _divide_linear(c, root)[0] for m, c in cols})
                 orders[k] -= 1
-        self.num = tuple(coeffs)
+        self.num = num
         self.a, self.b = orders
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "RationalXi":
-        return RationalXi([])
+        return RationalXi(Poly.zero())
 
     @staticmethod
     def const(value) -> "RationalXi":
-        return RationalXi([Poly.of(value)])
+        return RationalXi(Poly.of(value))
 
     @staticmethod
     def monomial(coeff, power: int = 0) -> "RationalXi":
         """coeff * xin**power."""
-        if power < 0:
-            raise ValueError(f"negative power {power} of the normal covariable")
-        num = [Poly.zero()] * power + [Poly.of(coeff)]
-        return RationalXi(num)
+        return RationalXi(Poly.of(coeff) * Poly.gen(XIN, power))
 
     @staticmethod
     def inverse_norm_power(k: int) -> "RationalXi":
         """(1 + xin**2)**(-k)."""
-        return RationalXi([Poly.const(1)], k, k)
+        return RationalXi(Poly.const(1), k, k)
 
     # -- predicates --------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num.terms
 
     @property
     def degree(self) -> int:
-        return len(self.num) - 1 if self.num else -1
+        return max((_split_xin(m)[1] for m in self.num.terms), default=-1)
 
     # -- arithmetic --------------------------------------------------
 
@@ -179,7 +178,7 @@ class RationalXi:
         b = max(self.b, other.b)
         left = _lift(self.num, a - self.a, b - self.b)
         right = _lift(other.num, a - other.a, b - other.b)
-        return RationalXi(_add_coeffs(left, right), a, b)
+        return RationalXi(left + right, a, b)
 
     def __sub__(self, other: "RationalXi") -> "RationalXi":
         return self + (-other)
@@ -187,41 +186,33 @@ class RationalXi:
     def __neg__(self) -> "RationalXi":
         # negation preserves canonical form, so skip re-canonicalization
         neg = RationalXi.__new__(RationalXi)
-        neg.num = tuple(-p for p in self.num)
+        neg.num = -self.num
         neg.a = self.a
         neg.b = self.b
         return neg
 
     def __mul__(self, other: "RationalXi") -> "RationalXi":
-        if self.is_zero or other.is_zero:
-            return RationalXi([])
-        return RationalXi(
-            _mul_coeffs(self.num, other.num), self.a + other.a, self.b + other.b
-        )
+        return RationalXi(self.num * other.num, self.a + other.a, self.b + other.b)
 
     def scale(self, factor) -> "RationalXi":
-        f = Poly.of(factor)
-        if f.is_zero or self.is_zero:
-            return RationalXi([])
-        return RationalXi([p * f for p in self.num], self.a, self.b)
+        """self times a scalar or a Poly free of XIN."""
+        return RationalXi(self.num * factor, self.a, self.b)
 
     def d_xi_n(self) -> "RationalXi":
         """Derivative in the normal covariable."""
         if self.is_zero:
             return self
-        dnum = [p * k for k, p in enumerate(self.num) if k]
+        dnum = _numerator(
+            {
+                m: [c * k for k, c in enumerate(col) if k]
+                for m, col in _columns(self.num).items()
+            }
+        )
         if self.a == 0 and self.b == 0:
             return RationalXi(dnum)
         # N'(xin-i)(xin+i) - N(a(xin+i) + b(xin-i)), over orders (a+1, b+1)
-        shift = [
-            Poly.const(GaussianRational(0, self.b - self.a)),
-            Poly.const(-(self.a + self.b)),
-        ]
-        return RationalXi(
-            _add_coeffs(_lift(dnum, 1, 1), _mul_coeffs(self.num, shift)),
-            self.a + 1,
-            self.b + 1,
-        )
+        shift = -(_XIN_PLUS_I * self.a + _XIN_MINUS_I * self.b)
+        return RationalXi(_lift(dnum, 1, 1) + self.num * shift, self.a + 1, self.b + 1)
 
     # -- comparison --------------------------------------------------
 
@@ -233,15 +224,12 @@ class RationalXi:
     def __repr__(self):
         if self.is_zero:
             return "0"
-        num = " + ".join(
-            f"({p!r})*xin^{k}" if k else f"({p!r})" for k, p in enumerate(self.num)
-        )
         den = []
         if self.a:
-            den.append(f"(xin-i)^{self.a}")
+            den.append(f"(XIN-i)^{self.a}")
         if self.b:
-            den.append(f"(xin+i)^{self.b}")
-        return f"[{num}] / {''.join(den)}" if den else f"[{num}]"
+            den.append(f"(XIN+i)^{self.b}")
+        return f"[{self.num!r}] / {''.join(den)}" if den else f"[{self.num!r}]"
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +244,26 @@ def _require_proper(f: RationalXi, op: str) -> None:
         )
 
 
-def _pole_series(b: int, size: int) -> list:
-    """Taylor coefficients below degree size of (t + 2i)**-b, the factor
-    of a principal part at +i that the pole at -i contributes:
-    (2i)**-b binom(b+j-1, j) (i/2)**j."""
-    series = []
-    c = _TWO_I ** -b
-    for j in range(size):
-        series.append(c)
-        c = c * (_HALF_I * Fraction(b + j, j + 1))
-    return series
+def _principal(f: RationalXi) -> dict:
+    """Columns of T, the numerator of the principal part T(t) / t**a of f
+    at +i, in t = xin - i: the Taylor coefficients below t**a of
+    N(t + i) (t + 2i)**-b.  The factor the pole at -i contributes,
+    (t + 2i)**-b, has the coefficients (2i)**-b binom(b+j-1, j) (i/2)**j.
+    Empty when f has no pole at +i."""
+    a, b = f.a, f.b
+    if not a:
+        return {}
+    series = [_TWO_I**-b]
+    for j in range(1, a):
+        series.append(series[-1] * (_HALF_I * Fraction(b + j - 1, j)))
+    out = {}
+    for m, col in _columns(f.num).items():
+        taylor = [GR_ZERO] * a
+        for k, s in enumerate(_taylor_shift(col, GR_I, a)):
+            for j in range(k, a):
+                taylor[j] = taylor[j] + s * series[j - k]
+        out[m] = taylor
+    return out
 
 
 def pi_plus(f: RationalXi) -> RationalXi:
@@ -277,12 +275,8 @@ def pi_plus(f: RationalXi) -> RationalXi:
     if f.is_zero:
         return f
     _require_proper(f, "pi_plus")
-    a, b = f.a, f.b
-    if a == 0:
-        return RationalXi([])
-    series = [Poly.const(c) for c in _pole_series(b, a)]
-    taylor = _mul_coeffs(_taylor_shift(f.num, GR_I, a), series)[:a]
-    return RationalXi(_taylor_shift(taylor, GR_MINUS_I, a), a, 0)
+    cols = {m: _taylor_shift(t, GR_MINUS_I, f.a) for m, t in _principal(f).items()}
+    return RationalXi(_numerator(cols), f.a, 0)
 
 
 def pi_minus(f: RationalXi) -> RationalXi:
@@ -307,13 +301,9 @@ def integrate_real_line(f: RationalXi) -> Poly:
             f"integrand decays too slowly: numerator degree {f.degree} "
             f"with pole orders ({f.a}, {f.b})"
         )
-    a = f.a
-    # with t = xin - i the residue is the t**(a-1) coefficient of
-    # N(t + i) (t + 2i)**-b, summed from the two series' coefficients
-    residue: dict = {}
-    for p, c in zip(_taylor_shift(f.num, GR_I, a), reversed(_pole_series(f.b, a))):
-        _add_product_into(residue, p, Poly.const(c * _TWO_I))
-    return Poly.gen(gen_pi()) * Poly._own(residue)
+    # the residue at +i is the t**(a-1) coefficient of the principal part
+    residue = {m: [t[f.a - 1] * _TWO_I] for m, t in _principal(f).items()}
+    return Poly.gen(gen_pi()) * _numerator(residue)
 
 
 def sphere_integrate(poly: Poly, n: int) -> Poly:
@@ -354,11 +344,11 @@ def sphere_integrate(poly: Poly, n: int) -> Poly:
 # fiber operators with rational coefficients
 
 
-def _on_sphere(num: Sequence[Poly], a: int, b: int, n: int) -> RationalXi:
+def _on_sphere(num: Poly, a: int, b: int, n: int) -> RationalXi:
     """num / ((xin - i)**a (xin + i)**b), reduced on the cosphere, then
     canonicalized, so pole cancellations that are only visible modulo the
     cosphere relation are performed."""
-    return RationalXi([sphere_normal_form(p, n) for p in num], a, b)
+    return RationalXi(sphere_normal_form(num, n), a, b)
 
 
 def _product_cells(pairs: Iterable, n: int) -> dict:
@@ -379,17 +369,15 @@ def _product_cells(pairs: Iterable, n: int) -> dict:
         sig = (left.a + right.a, left.b + right.b)
         acc = cell.get(sig)
         if acc is None:
-            acc = cell[sig] = []
-        lnum = left.num if sign > 0 else [-p for p in left.num]
-        _convolve_into(acc, lnum, right.num)
+            acc = cell[sig] = {}
+        _add_product_into(acc, left.num if sign > 0 else -left.num, right.num)
     out: dict = {}
     for w, cell in sums.items():
         top_a = max(a for a, _ in cell)
         top_b = max(b for _, b in cell)
-        total: list = []
+        total = Poly.zero()
         for (a, b), acc in cell.items():
-            lifted = _lift([Poly._own(t) for t in acc], top_a - a, top_b - b)
-            total = _add_coeffs(total, lifted)
+            total = total + _lift(Poly._own(acc), top_a - a, top_b - b)
         s = _on_sphere(total, top_a, top_b, n)
         if not s.is_zero:
             out[w] = s
@@ -399,10 +387,9 @@ def _product_cells(pairs: Iterable, n: int) -> dict:
 class MatrixSymbol(_WordMap):
     """The Clifford word map over RationalXi, cosphere-reduced.
 
-    Every numerator coefficient is in sphere normal form: the
-    constructors and the products reduce what they multiply, and every
-    other operation combines coefficients over constants, which keeps
-    that form.
+    Every numerator is in sphere normal form: the constructors and the
+    products reduce what they multiply, and every other operation
+    combines coefficients over constants, which keeps that form.
     """
 
     __slots__ = ()
@@ -416,7 +403,7 @@ class MatrixSymbol(_WordMap):
     @staticmethod
     def from_clifford(op, factor: RationalXi | None = None) -> "MatrixSymbol":
         """Embed a polynomial fiber operator, optionally times a rational scalar."""
-        words = {w: RationalXi([p]) for w, p in op.words.items()}
+        words = {w: RationalXi(p) for w, p in op.words.items()}
         return MatrixSymbol(op.n, words).scale(
             factor if factor is not None else RationalXi.const(1)
         )
@@ -426,7 +413,7 @@ class MatrixSymbol(_WordMap):
     def scale(self, factor: RationalXi) -> "MatrixSymbol":
         return self._map(
             lambda r: _on_sphere(
-                _mul_coeffs(r.num, factor.num), r.a + factor.a, r.b + factor.b, self.n
+                r.num * factor.num, r.a + factor.a, r.b + factor.b, self.n
             )
         )
 

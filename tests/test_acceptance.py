@@ -31,6 +31,7 @@ from wres.clifford import (
     tangential_clifford,
 )
 from wres.exact import (
+    XIN,
     GaussianRational,
     Poly,
     gen_h,
@@ -59,6 +60,12 @@ from wres.numcheck import (
 from wres.rational import MatrixSymbol, RationalXi, pi_minus, pi_plus
 
 I = GaussianRational(0, 1)
+
+
+def by_power(coeffs, a=0, b=0):
+    """The RationalXi whose numerator has coeffs[k] at xin**k."""
+    terms = (Poly.of(c) * Poly.gen(XIN, k) for k, c in enumerate(coeffs))
+    return RationalXi(sum(terms, Poly.zero()), a, b)
 
 
 def verdict(number: int, elapsed: float, budget: float, note: str) -> None:
@@ -152,8 +159,8 @@ def test_criterion_2_half_space_projection():
     t0 = time.perf_counter()
 
     # i / |xi|^2 projects to 1 / (2 (xi_n - i))
-    f = RationalXi((Poly.const(I),), 1, 1)
-    assert pi_plus(f) == RationalXi((Poly.const(Fraction(1, 2)),), 1, 0)
+    f = by_power((Poly.const(I),), 1, 1)
+    assert pi_plus(f) == by_power((Poly.const(Fraction(1, 2)),), 1, 0)
 
     # c(xi) / |xi|^4 projects to -[(i xi_n + 2) c(xi') + i c(dx_n)]
     # over 4 (xi_n - i)^2
@@ -165,7 +172,7 @@ def test_criterion_2_half_space_projection():
         normal_clifford(n),
         RationalXi.monomial(1, 1) * RationalXi.inverse_norm_power(2),
     )
-    tan_factor = RationalXi(
+    tan_factor = by_power(
         (
             Poly.const(Fraction(-1, 2)),
             Poly.const(GaussianRational(0, Fraction(-1, 4))),
@@ -173,7 +180,7 @@ def test_criterion_2_half_space_projection():
         2,
         0,
     )
-    nor_factor = RationalXi(
+    nor_factor = by_power(
         (Poly.const(GaussianRational(0, Fraction(-1, 4))),), 2, 0
     )
     expected = MatrixSymbol.from_clifford(
@@ -185,10 +192,10 @@ def test_criterion_2_half_space_projection():
     half_h = Poly.gen(gen_h(), coeff=Fraction(1, 2))
     dxn_tan = tangential_clifford(n).scale(half_h)
     sym = MatrixSymbol.from_clifford(
-        dxn_tan, RationalXi((Poly.const(I),), 1, 1)
+        dxn_tan, by_power((Poly.const(I),), 1, 1)
     )
     assert sym.pi_plus() == MatrixSymbol.from_clifford(
-        dxn_tan, RationalXi((Poly.const(Fraction(1, 2)),), 1, 0)
+        dxn_tan, by_power((Poly.const(Fraction(1, 2)),), 1, 0)
     )
 
     rng = random.Random(2024)
@@ -199,7 +206,7 @@ def test_criterion_2_half_space_projection():
         coeffs = tuple(
             Poly.const(Fraction(rng.randint(-9, 9))) for _ in range(deg + 1)
         )
-        f = RationalXi(coeffs, a, b)
+        f = by_power(coeffs, a, b)
         plus = pi_plus(f)
         assert pi_plus(plus) == plus
         assert plus + pi_minus(f) == f
@@ -236,7 +243,7 @@ def test_criterion_3_symbol_suite():
         dxn_tan = MatrixSymbol.from_clifford(
             tangential_clifford(n).scale(h * Fraction(1, 2))
         )
-        norm2 = RationalXi(
+        norm2 = by_power(
             (Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0
         )
         first = (c_full @ sigma0 @ c_full).scale(

@@ -766,7 +766,7 @@ def test_identities_fail_a_projection_that_drops_every_pole(capsys, monkeypatch)
     """A projection to zero is idempotent, but leaves the pole at +i in
     the remainder."""
     def zero(f):
-        return wres.rational.RationalXi([])
+        return wres.rational.RationalXi.zero()
 
     monkeypatch.setattr(wres.rational, "pi_plus", zero)
     monkeypatch.setattr(cli, "pi_plus", zero)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wres.clifford import normal_clifford, tangential_clifford
-from wres.exact import GaussianRational, Poly, gen_h
+from wres.exact import XIN, GaussianRational, Poly, gen_h
 from wres.jets import (
     Symbol,
     _composite,
@@ -18,6 +18,12 @@ from wres.jets import (
 from wres.rational import MatrixSymbol, RationalXi
 
 I = GaussianRational(0, 1)
+
+
+def by_power(coeffs, a=0, b=0):
+    """The RationalXi whose numerator has coeffs[k] at xin**k."""
+    terms = (Poly.of(c) * Poly.gen(XIN, k) for k, c in enumerate(coeffs))
+    return RationalXi(sum(terms, Poly.zero()), a, b)
 
 
 def full_clifford(n):
@@ -139,7 +145,7 @@ def test_second_inverse_matches_worked_formula(variant):
     )
     inv4 = RationalXi.inverse_norm_power(2)
     inv6 = RationalXi.inverse_norm_power(3)
-    norm2 = RationalXi((Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0)
+    norm2 = by_power((Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0)
     # |xi'|^2 is 1 on the cosphere of the tangential covariables
     first = (c_full @ sigma0 @ c_full).scale(inv4)
     bracket = dxn_tan.scale(norm2) - c_full.scale(RationalXi.const(h))
@@ -150,7 +156,7 @@ def test_second_inverse_matches_worked_formula(variant):
 def test_triple_composition_leading_symbols():
     n = 6
     triple = composite_symbols(n, "D3")
-    norm2 = RationalXi((Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0)
+    norm2 = by_power((Poly.const(1), Poly.const(0), Poly.const(1)), 0, 0)
     expected_top = full_clifford(n).scale(norm2 * RationalXi.const(I))
     assert triple.read(3, 0) == expected_top
 

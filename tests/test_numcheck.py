@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wres.boundary import CaseTuple, boundary_phi
-from wres.exact import GaussianRational, Poly, gen_omega
+from wres.exact import XIN, GaussianRational, Poly, gen_omega
 from wres import jets, numcheck
 from wres.numcheck import (
     _POLE_ORDER,
@@ -155,6 +155,12 @@ def test_line_quad_runs_g_once_per_distinct_node(integrands):
         assert len(calls) < len(frozen_calls)
 
 
+def by_power(coeffs, a=0, b=0):
+    """The RationalXi whose numerator has coeffs[k] at xin**k."""
+    terms = (Poly.of(c) * Poly.gen(XIN, k) for k, c in enumerate(coeffs))
+    return RationalXi(sum(terms, Poly.zero()), a, b)
+
+
 def random_proper_rational(rng):
     a = rng.randint(0, 3)
     b = rng.randint(0, 3)
@@ -166,17 +172,14 @@ def random_proper_rational(rng):
         re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         num.append(Poly.const(GaussianRational(re, im)))
-    rat = RationalXi(num, a, b)
+    rat = by_power(num, a, b)
     if rat.is_zero:
-        rat = RationalXi([Poly.const(1)], max(a, 1), b)
+        rat = RationalXi(Poly.const(1), max(a, 1), b)
     return rat
 
 
 def eval_const_rational(rat, z):
-    num = sum(
-        complex(p.eval_numeric({})) * z**i for i, p in enumerate(rat.num)
-    )
-    return num / ((z - 1j) ** rat.a * (z + 1j) ** rat.b)
+    return rat.num.eval_numeric({XIN: z}) / ((z - 1j) ** rat.a * (z + 1j) ** rat.b)
 
 
 def _expand(f):

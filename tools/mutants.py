@@ -139,11 +139,35 @@ MUTANTS = (
     Mutant(
         "residue-next-taylor-coefficient",
         "src/wres/rational.py",
-        "    a = f.a\n",
-        "    a = f.a + 1\n",
+        "t[f.a - 1] * _TWO_I",
+        "t[f.a - 2] * _TWO_I",
         (
             "tests/test_rational.py::test_residue_is_the_principal_part_coefficient",
+            "tests/test_rational.py::"
+            "test_projections_and_line_integral_match_the_per_power_layout",
             "tests/test_boundary.py::test_dim4_tables_match_reference",
+        ),
+    ),
+    Mutant(
+        "xin-derivative-off-by-one",
+        "src/wres/rational.py",
+        "[c * k for k, c in enumerate(col) if k]",
+        "[c * (k - 1) for k, c in enumerate(col) if k]",
+        (
+            "tests/test_rational.py::test_derivative_matches_finite_differences",
+            "tests/test_rational.py::test_arithmetic_matches_the_per_power_layout",
+            "tests/test_boundary.py::test_dim4_tables_match_reference",
+        ),
+    ),
+    Mutant(
+        "lift-roots-swapped",
+        "src/wres/rational.py",
+        "(_XIN_MINUS_I,) * da + (_XIN_PLUS_I,) * db",
+        "(_XIN_PLUS_I,) * da + (_XIN_MINUS_I,) * db",
+        (
+            "tests/test_rational.py::test_rational_arithmetic_matches_numeric_evaluation",
+            "tests/test_rational.py::test_arithmetic_matches_the_per_power_layout",
+            "tests/test_rational.py::test_products_match_the_per_power_layout",
         ),
     ),
     Mutant(
