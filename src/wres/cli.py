@@ -369,6 +369,17 @@ def parse_report(text: str) -> Report:
         meta, total = payload["meta"], _poly_from_json(payload["total"])
     except (KeyError, TypeError, ZeroDivisionError, AttributeError) as err:
         raise ValueError(f"not a report as _emit_json writes it: {err!r}") from err
+    # An empty object iterates like an empty list, and a label of any type
+    # would print, so both shapes are checked, not left to a lookup.
+    if not (
+        isinstance(payload["cases"], list)
+        and isinstance(payload["discrepancies"], list)
+        and all(isinstance(d.label, str) for d in discrepancies)
+    ):
+        raise ValueError(
+            "not a report as _emit_json writes it: cases and discrepancies "
+            "are lists, and each label is text"
+        )
     # The text and LaTeX forms print dim as an int and join the operators.
     if not (
         isinstance(meta, dict)

@@ -20,7 +20,8 @@ tuples tagged by a short string:
     ("PI",)            the circle constant, kept symbolic
     ("OMEGA",)         boundary sphere volume, kept symbolic
     ("XIN",)           the normal covariable, internal to the numerators
-                       of rational.RationalXi
+                       of rational.RationalXi and to the fiber operators
+                       that jets embeds into them
 
 Generators compare lexicographically as tuples (the tag is always a
 string, so the ordering is total), which gives a canonical term order

@@ -355,6 +355,12 @@ MALFORMED_REPORTS = {
     "meta-operators-string": lambda payload: dict(
         payload, meta=dict(payload["meta"], operators="Dv")
     ),
+    "label-not-text": lambda payload: dict(
+        payload,
+        discrepancies=[dict(d, label=123) for d in payload["discrepancies"]],
+    ),
+    "cases-object": lambda payload: dict(payload, cases={}),
+    "discrepancies-object": lambda payload: dict(payload, discrepancies={}),
 }
 
 

@@ -1,14 +1,18 @@
 """Tests for symbol jets, composition, and inversion."""
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 
 from wres.clifford import normal_clifford, tangential_clifford
+from wres import jets
 from wres.exact import XIN, GaussianRational, Poly, gen_h
 from wres.jets import (
     Symbol,
     _composite,
+    _fold,
     composite_symbols,
     compose_symbols,
     inverse_symbols,
@@ -111,12 +115,14 @@ def test_compose_operator_with_inverse_is_identity(variant):
 
 
 def test_compose_inverse_with_operator_is_identity():
-    n = 4
-    op = operator_symbols(n, "Dv")
-    inv = inverse_symbols(n, "Dv")
-    composed = compose_symbols(inv, op)
-    assert composed.read(0, 0) == MatrixSymbol.identity(n)
-    assert composed.read(-1, 0) == MatrixSymbol.zero(n)
+    """The left inverse, which unlike the right one inversion does not
+    solve for, so it holds by the calculus, not by construction."""
+    for n, variant, dual in product((4, 6), ("Dv", "DvStar", "D3"), (True, False)):
+        op = composite_symbols(n, variant, dual)
+        inv = inverse_symbols(n, variant, dual)
+        composed = compose_symbols(inv, op)
+        assert composed.read(0, 0) == MatrixSymbol.identity(n), (n, variant, dual)
+        assert composed.read(-1, 0) == MatrixSymbol.zero(n), (n, variant, dual)
 
 
 def test_first_inverse_leading_golden():
@@ -221,25 +227,57 @@ def _asked_by_inversion(top_words, words):
     return frozenset((s ^ x, t ^ y) for s, t in top_words for x, y in inner)
 
 
-@pytest.mark.parametrize("dual", [True, False])
-@pytest.mark.parametrize("n", [4, 6, 8])
-def test_composite_on_a_word_set_is_the_full_composite_there(n, dual):
-    """Composing D3 for an inversion on a set of words changes only its
-    order below the top, and only by dropping the words that inversion
-    does not read."""
-    full = composite_symbols(n, "D3", dual)
+def _assert_restricted_fold(n, factors, fold):
+    """fold(words), the product of the factor symbols restricted for an
+    inversion on words, changes only the order below the top, and only
+    by dropping the words that inversion does not read."""
+    full = fold(None)
     vectors = frozenset((1 << j, 0) for j in range(n))
     # every third word the full inverse's part holds, and two it cannot
-    # hold (that part is odd in form degree)
+    # hold (that part has the parity of the factor count in form degree)
     held = sorted(invert_symbol(full).low.words)
-    lacking = [(0, 0), (3, 0)]
+    lacking = [(0, 0), (3, 0)] if len(factors) % 2 else [(1, 0), (7, 0)]
     assert not set(lacking) & set(held)
     mixed = frozenset(held[::3] + lacking)
     for words in (vectors, mixed, frozenset()):
-        got = _composite(n, "D3", dual, words)
+        got = fold(words)
         assert got.order == full.order
         assert got.top == full.top
         assert got.top_dxn == full.top_dxn
         asked = _asked_by_inversion(full.top.words, words)
         want = {w: c for w, c in full.low.words.items() if w in asked}
         assert got.low == MatrixSymbol(n, want)
+
+
+@pytest.mark.parametrize("dual", [True, False])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_composite_on_a_word_set_is_the_full_composite_there(n, dual):
+    """Composing D3 for an inversion on a set of words changes only its
+    order below the top, and only by dropping the words that inversion
+    does not read."""
+    fold = partial(_composite, n, "D3", dual)
+    _assert_restricted_fold(n, jets._FACTORS["D3"], fold)
+
+
+# Factor lists that are no operator of jets._FACTORS: a power of Dv, the
+# even product P = DvStar Dv, and P twice before DvStar.
+OTHER_PRODUCTS = [
+    ("Dv", "Dv", "Dv"),
+    ("DvStar", "Dv"),
+    ("DvStar", "Dv", "DvStar", "Dv", "DvStar"),
+]
+
+
+@pytest.mark.parametrize("dual", [True, False])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("factors", OTHER_PRODUCTS, ids="-".join)
+def test_fold_on_a_word_set_is_the_full_fold_there(factors, n, dual):
+    """The restriction is the fold's, whatever factor list it folds."""
+    symbols = [operator_symbols(n, f, dual) for f in factors]
+    _assert_restricted_fold(n, factors, partial(_fold, symbols))
+
+
+@pytest.mark.parametrize("dual", [True, False])
+def test_fold_is_the_repeated_composition(dual):
+    a, b, c = (operator_symbols(6, f, dual) for f in ("DvStar", "Dv", "Dv"))
+    assert _fold([a, b, c], None) == compose_symbols(compose_symbols(a, b), c)

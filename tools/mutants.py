@@ -104,13 +104,39 @@ MUTANTS = (
     Mutant(
         "inverse-inner-sum-on-asked-words",
         "src/wres/jets.py",
-        "p.low.product(q_top, inner)\n"
-        "        + w.d_xi_n().product(q_dxn.scale(minus_i), inner),",
-        "p.low.product(q_top, words)\n"
-        "        + w.d_xi_n().product(q_dxn.scale(minus_i), words),",
+        "_compose_low(w, p.low, partial, inner)",
+        "_compose_low(w, p.low, partial, words)",
         (
             "tests/test_jets.py::"
             "test_inversion_on_a_word_set_is_the_full_inversion_there",
+        ),
+    ),
+    Mutant(
+        "compose-normal-term-sign",
+        "src/wres/jets.py",
+        "minus_i = RationalXi.const(GR_MINUS_I)",
+        "minus_i = RationalXi.const(GR_I)",
+        (
+            "tests/test_acceptance.py::test_criterion_3_symbol_suite",
+            "tests/test_jets.py::test_second_inverse_matches_worked_formula",
+            "tests/test_boundary.py::test_dim4_tables_match_reference",
+            "tests/test_symbol_record.py::"
+            "test_composite_and_inverse_symbols_match_the_jet_dicts",
+            "tests/test_laws.py::"
+            "test_totals_are_free_of_the_warp_and_case_values_are_real",
+        ),
+    ),
+    Mutant(
+        "fold-drops-leibniz-term",
+        "src/wres/jets.py",
+        "top_dxn @ right.top + top @ right.top_dxn",
+        "top_dxn @ right.top",
+        (
+            "tests/test_jets.py::test_jet_multiplication_leibniz",
+            "tests/test_symbol_record.py::"
+            "test_composite_and_inverse_symbols_match_the_jet_dicts",
+            "tests/test_laws.py::"
+            "test_inverse_of_a_product_is_the_reversed_product_of_inverses",
         ),
     ),
     Mutant(
